@@ -23,7 +23,6 @@ import (
 	"sora/internal/compare"
 	"sora/internal/core"
 	"sora/internal/fault"
-	"sora/internal/metrics"
 	"sora/internal/node"
 	"sora/internal/profile"
 	"sora/internal/sim"
@@ -251,9 +250,6 @@ func run() error {
 			return err
 		}
 	}
-	var e2e metrics.CompletionLog
-	c.OnComplete(func(tr *trace.Trace) { e2e.AddFlagged(k.Now(), tr.ResponseTime(), tr.Root.Degraded) })
-
 	var eng *fault.Engine
 	if *faultPlan != "" {
 		var policies []topology.EdgePolicy
@@ -431,7 +427,7 @@ func run() error {
 			*nodes, *nodeCores, *coldStart, *epLag, *lbName, *schedName)
 	}
 	fmt.Printf("completed=%d dropped=%d throughput=%.0f req/s\n",
-		c.Completed(), c.Dropped(), e2e.ThroughputRate(warm, end))
+		c.Completed(), c.Dropped(), c.Completions().ThroughputRate(warm, end))
 	if eng != nil {
 		fmt.Printf("failed=%d degraded=%d refused=%d lost=%d timedout=%d retries=%d breaker_rejected=%d\n",
 			c.Failed(), c.Degraded(), c.Refused(), c.LostCalls(), c.TimedOut(),
@@ -447,7 +443,7 @@ func run() error {
 		}
 	}
 	for _, p := range []float64{50, 90, 95, 99} {
-		if v, err := e2e.Percentile(p, warm, end); err == nil {
+		if v, err := c.Completions().Percentile(p, warm, end); err == nil {
 			fmt.Printf("p%-3.0f = %v\n", p, v.Round(time.Millisecond))
 		}
 	}
@@ -460,7 +456,7 @@ func run() error {
 		ths = append(ths, d)
 	}
 	for _, th := range ths {
-		fmt.Printf("goodput(%v) = %.0f req/s\n", th, e2e.GoodputRate(warm, end, th))
+		fmt.Printf("goodput(%v) = %.0f req/s\n", th, c.Completions().GoodputRate(warm, end, th))
 	}
 	fmt.Println("\nper-service CPU utilization (busy/capacity):")
 	for _, name := range c.ServiceNames() {

@@ -51,25 +51,6 @@ func firstDiffLine(a, b string) string {
 	return "<length differs>"
 }
 
-// TestParseLineDuplicateKind: fault lines carry the envelope kind and
-// the fault kind under the same JSON key; the first must win as the
-// event kind and the second must surface as the fault_kind attribute.
-func TestParseLineDuplicateKind(t *testing.T) {
-	ev, err := parseLine(`{"t_us":1500000,"unit":"u","kind":"fault.inject","kind":"crash","target":"backend"}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.kind != "fault.inject" {
-		t.Fatalf("kind = %q, want fault.inject", ev.kind)
-	}
-	if got := ev.str("fault_kind"); got != "crash" {
-		t.Fatalf("fault_kind = %q, want crash", got)
-	}
-	if ev.t != 1.5 {
-		t.Fatalf("t = %v, want 1.5", ev.t)
-	}
-}
-
 // TestParseTimelineModel checks the structural digest of the fixture:
 // unit order is first-seen, fault windows pair up, markers only carry
 // annotation kinds.
@@ -85,12 +66,12 @@ func TestParseTimelineModel(t *testing.T) {
 	if len(fd.units) != 2 {
 		t.Fatalf("units = %d, want 2", len(fd.units))
 	}
-	if fd.units[0].name != "demo/runs/static" || fd.units[1].name != "demo/runs/sora" {
-		t.Fatalf("unit order = %s, %s", fd.units[0].name, fd.units[1].name)
+	if fd.units[0].Path != "demo/runs/static" || fd.units[1].Path != "demo/runs/sora" {
+		t.Fatalf("unit order = %s, %s", fd.units[0].Path, fd.units[1].Path)
 	}
 	static, sora := fd.units[0], fd.units[1]
-	if len(static.cluster) != 3 || len(sora.cluster) != 3 {
-		t.Fatalf("cluster rows = %d/%d, want 3/3", len(static.cluster), len(sora.cluster))
+	if len(static.Cluster) != 3 || len(sora.Cluster) != 3 {
+		t.Fatalf("cluster rows = %d/%d, want 3/3", len(static.Cluster), len(sora.Cluster))
 	}
 	if len(static.faults) != 1 || static.faults[0].open {
 		t.Fatalf("static faults = %+v, want one closed window", static.faults)
@@ -98,16 +79,16 @@ func TestParseTimelineModel(t *testing.T) {
 	if f := static.faults[0]; f.t0 != 1.5 || f.t1 != 2.5 || f.kind != "crash" || f.target != "backend" {
 		t.Fatalf("fault window = %+v", f)
 	}
-	if len(static.marks) != 0 {
-		t.Fatalf("static markers = %d, want 0", len(static.marks))
+	if len(static.Annotations) != 0 {
+		t.Fatalf("static markers = %d, want 0", len(static.Annotations))
 	}
-	if len(sora.marks) != 2 || sora.marks[0].kind != "controller.decision" {
-		t.Fatalf("sora markers = %+v", sora.marks)
+	if len(sora.Annotations) != 2 || sora.Annotations[0].Kind != "controller.decision" {
+		t.Fatalf("sora markers = %+v", sora.Annotations)
 	}
-	if !strings.Contains(sora.marks[0].label, "resource=frontend threads") {
-		t.Fatalf("marker label = %q", sora.marks[0].label)
+	if label := markerLabel(sora.Annotations[0]); !strings.Contains(label, "resource=frontend threads") {
+		t.Fatalf("marker label = %q", label)
 	}
-	if got := static.services; len(got) != 2 || got[0] != "frontend" || got[1] != "backend" {
+	if got := static.Services; len(got) != 2 || got[0] != "frontend" || got[1] != "backend" {
 		t.Fatalf("service order = %v", got)
 	}
 }

@@ -1,15 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"sora/internal/compare"
 )
 
-// The timeline data model. One fileData per *.timeline.jsonl input; one
-// unitData per distinct "unit" path inside it, in first-seen order
-// (which the recorder's deterministic walk makes stable).
+// The dashboard model. One fileData per *.timeline.jsonl input; one
+// unitData per unit that compare.ParseTimeline reads from it, in
+// first-seen order (which the recorder's deterministic walk makes
+// stable), plus the fault windows the panels shade. Every annotation
+// becomes a marker.
 
 type fileData struct {
 	name  string
@@ -17,35 +21,9 @@ type fileData struct {
 }
 
 type unitData struct {
-	name    string
-	cluster []clusterRow
-	// services in first-seen order; rows keyed by service.
-	services []string
-	svcRows  map[string][]svcRow
-	marks    []marker
-	faults   []faultWin
-	maxT     float64
-}
-
-// clusterRow is one timeline.cluster window (timestamps mark window end,
-// seconds; counts are per-window).
-type clusterRow struct {
-	t, winS          float64
-	p50, p95, p99    float64
-	good, degr, viol float64
-}
-
-// svcRow is the per-service slice of one timeline.window row.
-type svcRow struct {
-	t, p99, util float64
-}
-
-// marker is a point-in-time annotation (controller decision, reconfig,
-// autoscaler move).
-type marker struct {
-	t     float64
-	kind  string
-	label string
+	*compare.Unit
+	maxT   float64 // seconds, the unit's last timestamp
+	faults []faultWin
 }
 
 // faultWin is one shaded fault window; open windows close at the unit's
@@ -57,161 +35,73 @@ type faultWin struct {
 	open   bool
 }
 
-// event is one parsed timeline line. Attrs keep scalar values only and
-// preserve the duplicate-"kind" quirk of fault lines: the envelope kind
-// is taken from the first "kind" key, a second one lands in attrs.
-type event struct {
-	t     float64 // seconds
-	unit  string
-	kind  string
-	attrs map[string]any
-}
+// seconds converts a timeline timestamp to seconds.
+func seconds(tUs int64) float64 { return float64(tUs) / 1e6 }
 
-func (e *event) str(key string) string {
-	if v, ok := e.attrs[key].(string); ok {
-		return v
+// attr returns the named attribute value or "".
+func attr(kvs []compare.KV, key string) string {
+	for _, kv := range kvs {
+		if kv.Key == key {
+			return kv.Value
+		}
 	}
 	return ""
 }
 
-func (e *event) num(key string) float64 {
-	if v, ok := e.attrs[key].(float64); ok {
-		return v
-	}
-	return 0
-}
-
-// parseLine decodes one JSONL line with a token scanner rather than
-// Unmarshal: fault lines carry two "kind" keys (envelope + fault kind)
-// and map decoding would keep the wrong one.
-func parseLine(line string) (*event, error) {
-	dec := json.NewDecoder(strings.NewReader(line))
-	tok, err := dec.Token()
+// parseTimeline builds the per-unit model from one timeline file.
+func parseTimeline(name, raw string) (*fileData, error) {
+	run, err := compare.ParseTimeline(name, raw)
 	if err != nil {
 		return nil, err
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, fmt.Errorf("line is not a JSON object")
-	}
-	ev := &event{attrs: map[string]any{}}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		key, ok := keyTok.(string)
-		if !ok {
-			return nil, fmt.Errorf("non-string key %v", keyTok)
-		}
-		valTok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		if _, nested := valTok.(json.Delim); nested {
-			return nil, fmt.Errorf("attribute %q is not a scalar", key)
-		}
-		switch key {
-		case "t_us":
-			if v, ok := valTok.(float64); ok {
-				ev.t = v / 1e6
-			}
-		case "unit":
-			ev.unit, _ = valTok.(string)
-		case "kind":
-			if ev.kind == "" {
-				ev.kind, _ = valTok.(string)
-			} else {
-				// fault lines: second "kind" is the fault kind.
-				ev.attrs["fault_kind"] = valTok
-			}
-		default:
-			ev.attrs[key] = valTok
-		}
-	}
-	return ev, nil
-}
-
-// parseTimeline builds the per-unit model from one timeline file.
-func parseTimeline(name, raw string) (*fileData, error) {
 	fd := &fileData{name: name}
-	byUnit := map[string]*unitData{}
-	unitOf := func(path string) *unitData {
-		u, ok := byUnit[path]
-		if !ok {
-			u = &unitData{name: path, svcRows: map[string][]svcRow{}}
-			byUnit[path] = u
-			fd.units = append(fd.units, u)
-		}
-		return u
-	}
-	for i, line := range strings.Split(raw, "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		ev, err := parseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
-		}
-		u := unitOf(ev.unit)
-		if ev.t > u.maxT {
-			u.maxT = ev.t
-		}
-		switch ev.kind {
-		case "timeline.cluster":
-			u.cluster = append(u.cluster, clusterRow{
-				t: ev.t, winS: ev.num("win_s"),
-				p50: ev.num("p50_ms"), p95: ev.num("p95_ms"), p99: ev.num("p99_ms"),
-				good: ev.num("good"), degr: ev.num("degraded"), viol: ev.num("violated"),
-			})
-		case "timeline.window":
-			svc := ev.str("service")
-			if svc == "" {
+	for _, cu := range run.Units {
+		u := &unitData{Unit: cu, maxT: seconds(cu.LastTUs)}
+		for _, f := range cu.Faults {
+			// A fault line's second "kind" key is the fault kind.
+			kind, target := attr(f.Attrs, "kind"), attr(f.Attrs, "target")
+			if !f.Recover {
+				u.faults = append(u.faults, faultWin{t0: seconds(f.TUs), kind: kind, target: target, open: true})
 				continue
 			}
-			if _, seen := u.svcRows[svc]; !seen {
-				u.services = append(u.services, svc)
-			}
-			u.svcRows[svc] = append(u.svcRows[svc], svcRow{t: ev.t, p99: ev.num("p99_ms"), util: ev.num("util")})
-		case "fault.inject":
-			u.faults = append(u.faults, faultWin{
-				t0: ev.t, kind: ev.str("fault_kind"), target: ev.str("target"), open: true,
-			})
-		case "fault.recover":
 			// Close the oldest open window of the same kind+target.
 			for j := range u.faults {
-				f := &u.faults[j]
-				if f.open && f.kind == ev.str("fault_kind") && f.target == ev.str("target") {
-					f.t1, f.open = ev.t, false
+				fw := &u.faults[j]
+				if fw.open && fw.kind == kind && fw.target == target {
+					fw.t1, fw.open = seconds(f.TUs), false
 					break
 				}
 			}
-		default:
-			// Everything else timelineKind lets through is an annotation.
-			u.marks = append(u.marks, marker{t: ev.t, kind: ev.kind, label: markerLabel(ev)})
 		}
-	}
-	for _, u := range fd.units {
 		for j := range u.faults {
 			if u.faults[j].open {
 				u.faults[j].t1 = u.maxT
 			}
 		}
+		fd.units = append(fd.units, u)
 	}
 	return fd, nil
 }
 
 // markerLabel renders an annotation's attributes as "k=v" pairs in
-// sorted key order for the hover tooltip.
-func markerLabel(ev *event) string {
-	keys := make([]string, 0, len(ev.attrs))
-	for k := range ev.attrs {
-		keys = append(keys, k)
+// sorted key order for the hover tooltip. JSON numbers print as Go
+// float64 values (%v), so 1000000 reads 1e+06.
+func markerLabel(a compare.Annotation) string {
+	order := make([]int, len(a.Attrs))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(keys)
+	sort.SliceStable(order, func(i, j int) bool { return a.Attrs[order[i]].Key < a.Attrs[order[j]].Key })
 	var b strings.Builder
-	b.WriteString(ev.kind)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%v", k, ev.attrs[k])
+	b.WriteString(a.Kind)
+	for _, i := range order {
+		kv := a.Attrs[i]
+		if a.Numeric[i] {
+			v, _ := strconv.ParseFloat(kv.Value, 64)
+			fmt.Fprintf(&b, " %s=%v", kv.Key, v)
+			continue
+		}
+		fmt.Fprintf(&b, " %s=%s", kv.Key, kv.Value)
 	}
 	return b.String()
 }

@@ -18,10 +18,8 @@ import (
 	"sora/internal/autoscaler"
 	"sora/internal/cluster"
 	"sora/internal/core"
-	"sora/internal/metrics"
 	"sora/internal/sim"
 	"sora/internal/topology"
-	"sora/internal/trace"
 	"sora/internal/workload"
 )
 
@@ -71,9 +69,6 @@ func runOnce(withSora bool) (time.Duration, float64, error) {
 	if err := c.SetMix(topology.HomeTimelineOnlyMix(false)); err != nil {
 		return 0, 0, err
 	}
-	var e2e metrics.CompletionLog
-	c.OnComplete(func(tr *trace.Trace) { e2e.Add(k.Now(), tr.ResponseTime()) })
-
 	// Drift: light -> heavy reads at half time.
 	driftAt := duration / 2
 	k.At(sim.Time(driftAt), func() {
@@ -139,7 +134,7 @@ func runOnce(withSora bool) (time.Duration, float64, error) {
 	for elapsed := time.Minute; elapsed <= duration; elapsed += time.Minute {
 		k.RunUntil(sim.Time(elapsed))
 		now := k.Now()
-		p99, err := e2e.Percentile(99, now-sim.Time(time.Minute), now)
+		p99, err := c.Completions().Percentile(99, now-sim.Time(time.Minute), now)
 		if err != nil {
 			p99 = 0
 		}
@@ -169,9 +164,9 @@ func runOnce(withSora bool) (time.Duration, float64, error) {
 
 	warm := sim.Time(10 * time.Second)
 	end := sim.Time(duration)
-	p99, err := e2e.Percentile(99, warm, end)
+	p99, err := c.Completions().Percentile(99, warm, end)
 	if err != nil {
 		return 0, 0, err
 	}
-	return p99, e2e.GoodputRate(warm, end, slo), nil
+	return p99, c.Completions().GoodputRate(warm, end, slo), nil
 }

@@ -214,15 +214,11 @@ func (a App) Validate() error {
 	return nil
 }
 
-// Options configures a Cluster beyond the App definition.
+// Options configures a Cluster beyond the App definition. Inter-service
+// messages carry no network latency (the paper's "network latency is
+// negligible" assumption) unless a fault injects edge delay, and the
+// trace warehouse keeps trace.DefaultRetention of history.
 type Options struct {
-	// NetworkDelay is the one-way latency added to every inter-service
-	// message. Nil models the paper's "network latency is negligible"
-	// assumption (zero delay).
-	NetworkDelay dist.Distribution
-	// Retention bounds how much completion/trace history is kept; zero
-	// selects trace.DefaultRetention.
-	Retention time.Duration
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// admission drops) and end-of-run counters from this cluster. Nil
 	// disables telemetry at zero cost (every publish site is a nil
@@ -246,14 +242,14 @@ type Cluster struct {
 	order    []string // service names in App order, for deterministic iteration
 
 	warehouse *trace.Warehouse
-	e2eLog    *metrics.CompletionLog
-	perType   map[string]*metrics.CompletionLog
+	// e2eLog is the run's single end-to-end completion log. It is never
+	// pruned: online readers query trailing windows, and drivers compute
+	// their final reports from the whole run.
+	e2eLog *metrics.CompletionLog
 
-	netDelay  dist.Distribution
-	retention time.Duration
-	rng       *rand.Rand
-	mix       []WeightedRequest
-	mixTotal  float64
+	rng      *rand.Rand
+	mix      []WeightedRequest
+	mixTotal float64
 
 	nextTraceID trace.ID
 	onComplete  []func(*trace.Trace)
@@ -308,19 +304,12 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	retention := opts.Retention
-	if retention <= 0 {
-		retention = trace.DefaultRetention
-	}
 	c := &Cluster{
 		k:         k,
 		app:       app,
 		services:  make(map[string]*Service, len(app.Services)),
-		warehouse: trace.NewWarehouse(retention),
+		warehouse: trace.NewWarehouse(trace.DefaultRetention),
 		e2eLog:    &metrics.CompletionLog{},
-		perType:   make(map[string]*metrics.CompletionLog),
-		netDelay:  opts.NetworkDelay,
-		retention: retention,
 		rng:       k.Split(0xc1),
 		edges:     make(map[edgeKey]*edgeState),
 		resRNG:    k.Split(0x4e5),
@@ -354,13 +343,10 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 // the workload does.
 const pruneInterval = 4096
 
-// housekeep drops metric history beyond the retention window.
+// housekeep drops per-service metric history beyond the warehouse
+// retention window. The end-to-end log is kept whole.
 func (c *Cluster) housekeep() {
-	cutoff := c.k.Now() - c.retention
-	c.e2eLog.Prune(cutoff)
-	for _, l := range c.perType {
-		l.Prune(cutoff)
-	}
+	cutoff := c.k.Now() - trace.DefaultRetention
 	for _, name := range c.order {
 		c.services[name].prune(cutoff)
 	}
@@ -374,19 +360,8 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 
 // Completions returns the end-to-end completion log across all request
-// types.
+// types: every completed request of the run, degraded ones flagged.
 func (c *Cluster) Completions() *metrics.CompletionLog { return c.e2eLog }
-
-// TypeCompletions returns the completion log for one request type,
-// creating it on first use.
-func (c *Cluster) TypeCompletions(requestType string) *metrics.CompletionLog {
-	l, ok := c.perType[requestType]
-	if !ok {
-		l = &metrics.CompletionLog{}
-		c.perType[requestType] = l
-	}
-	return l
-}
 
 // Service returns the named service.
 func (c *Cluster) Service(name string) (*Service, error) {
@@ -513,7 +488,6 @@ func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {
 			c.flight.noteE2E(rtime, degraded)
 		}
 		c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
-		c.TypeCompletions(rt.Name).AddFlagged(c.k.Now(), rtime, degraded)
 		for _, fn := range c.onComplete {
 			fn(tr)
 		}
@@ -621,28 +595,10 @@ func (c *Cluster) sampleDemand(d dist.Distribution) time.Duration {
 	return d.Sample(c.rng)
 }
 
-// withNetDelay runs fn after one network hop of latency (immediately when
-// no delay distribution is configured, avoiding event overhead).
-func (c *Cluster) withNetDelay(fn func()) {
-	if c.netDelay == nil {
-		fn()
-		return
-	}
-	d := c.netDelay.Sample(c.rng)
-	if d <= 0 {
-		fn()
-		return
-	}
-	c.k.Schedule(d, fn)
-}
-
 // withEdgeDelay runs fn after one network hop over a policy-bearing
-// edge: the base network latency plus the edge's injected ExtraDelay.
+// edge: immediately, unless a fault injects ExtraDelay on the edge.
 func (c *Cluster) withEdgeDelay(es *edgeState, fn func()) {
 	d := es.fault.ExtraDelay
-	if c.netDelay != nil {
-		d += c.netDelay.Sample(c.rng)
-	}
 	if d <= 0 {
 		fn()
 		return

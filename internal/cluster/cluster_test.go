@@ -90,15 +90,36 @@ func TestWarehouseAndLogsPopulated(t *testing.T) {
 	if c.Completions().Len() != 10 {
 		t.Errorf("e2e log has %d, want 10", c.Completions().Len())
 	}
-	if c.TypeCompletions("get").Len() != 10 {
-		t.Errorf("per-type log has %d, want 10", c.TypeCompletions("get").Len())
-	}
 	be, err := c.Service("backend")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if be.SpanLog().Len() != 10 {
 		t.Errorf("backend span log has %d, want 10", be.SpanLog().Len())
+	}
+}
+
+// TestCompletionLogKeepsWholeRun: the end-to-end log is the run's only
+// completion log, so housekeeping must not prune it. Run long enough past
+// trace.DefaultRetention for several housekeeping passes to fire.
+func TestCompletionLogKeepsWholeRun(t *testing.T) {
+	k := sim.NewKernel(4)
+	c := mustCluster(t, k, twoTier(0, 0))
+	const gap = 20 * time.Millisecond
+	n := int(trace.DefaultRetention/gap) + 3*pruneInterval
+	for i := 0; i < n; i++ {
+		k.Schedule(time.Duration(i)*gap, c.SubmitMix)
+	}
+	k.Run()
+	if got := uint64(c.Completions().Len()); got != c.Completed() || got != uint64(n) {
+		t.Fatalf("completion log holds %d, completed %d, submitted %d", got, c.Completed(), n)
+	}
+	horizon := k.Now() - trace.DefaultRetention
+	if horizon <= time.Minute {
+		t.Fatalf("run ended at %v, not past the retention window", k.Now())
+	}
+	if got := len(c.Completions().Window(0, time.Minute)); got == 0 {
+		t.Fatalf("window [0, 1m) is empty although it ends before now-retention = %v", horizon)
 	}
 }
 
@@ -423,22 +444,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := New(nil, twoTier(0, 0), Options{}); err == nil {
 		t.Error("nil kernel: expected error")
-	}
-}
-
-func TestNetworkDelayAddsLatency(t *testing.T) {
-	k := sim.NewKernel(13)
-	c, err := New(k, twoTier(0, 0), Options{NetworkDelay: dist.NewDeterministic(time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rtime time.Duration
-	c.OnComplete(func(tr *trace.Trace) { rtime = tr.ResponseTime() })
-	c.SubmitMix()
-	k.Run()
-	// Base 10ms + 2 hops x 1ms = 12ms.
-	if rtime < 11*time.Millisecond || rtime > 13*time.Millisecond {
-		t.Errorf("RT with network delay = %v, want ~12ms", rtime)
 	}
 }
 

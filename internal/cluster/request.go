@@ -196,28 +196,24 @@ func (v *visit) dispatchDirect(child *CallNode) {
 	})
 }
 
-// sendDirect performs the network round trip and child visit; release
-// runs when the response arrives back, before continuing the parent.
+// sendDirect runs the child visit; release runs when its response
+// arrives back, before continuing the parent.
 func (v *visit) sendDirect(child *CallNode, release func()) {
 	v.outstanding++
 	v.reWait()
-	v.c.withNetDelay(func() {
-		v.c.startVisit(child, v.span, v.span.Depth+1, v.deadline, func(cv *visit) {
-			v.c.withNetDelay(func() {
-				release()
-				v.outstanding--
-				v.reWait()
-				if cv.dropped || cv.failed {
-					v.failed = true
-				} else if cv.degraded {
-					v.degraded = true
-				}
-				// The child's outcome has been consumed; its span stays
-				// reachable through the trace tree, the struct recycles.
-				v.c.freeVisit(cv)
-				v.childAnswered()
-			})
-		})
+	v.c.startVisit(child, v.span, v.span.Depth+1, v.deadline, func(cv *visit) {
+		release()
+		v.outstanding--
+		v.reWait()
+		if cv.dropped || cv.failed {
+			v.failed = true
+		} else if cv.degraded {
+			v.degraded = true
+		}
+		// The child's outcome has been consumed; its span stays
+		// reachable through the trace tree, the struct recycles.
+		v.c.freeVisit(cv)
+		v.childAnswered()
 	})
 }
 

@@ -67,6 +67,10 @@ func TestParseTimeline(t *testing.T) {
 	if got := ua.SvcRows["cart"][0].P99; got != 12.5 {
 		t.Fatalf("cart window 1 p99 = %g, want 12.5", got)
 	}
+	// The manifest and both decisions are annotations, in line order.
+	if len(ua.Annotations) != 3 || ua.Annotations[0].Kind != "run.manifest" || ua.Annotations[2].TUs != 15000000 {
+		t.Fatalf("annotations = %+v", ua.Annotations)
+	}
 	// Identity comes from the run.manifest event, attrs in publish order.
 	if len(ua.Identity) != 4 || ua.Identity[0] != Str("id", "runA") || ua.Identity[2] != Str("seed", "7") {
 		t.Fatalf("identity = %+v", ua.Identity)
@@ -80,6 +84,35 @@ func TestParseTimeline(t *testing.T) {
 	}
 	if knee != "7.5" {
 		t.Fatalf("knee_x rendered %q, want 7.5 verbatim", knee)
+	}
+}
+
+// TestParseTimelineFaultKind: fault lines carry the envelope kind and
+// the fault kind under the same JSON key; the first must win as the
+// event kind and the second must surface as the fault's "kind"
+// attribute. Other events become annotations with their number flags.
+func TestParseTimelineFaultKind(t *testing.T) {
+	run, err := ParseTimeline("f", `{"t_us":1500000,"unit":"u","kind":"fault.inject","kind":"crash","target":"backend"}
+{"t_us":2500000,"unit":"u","kind":"cluster.reconfig","pool":"8","size":8}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := run.Units[0]
+	if len(u.Faults) != 1 || u.Faults[0].Recover || u.Faults[0].TUs != 1500000 {
+		t.Fatalf("faults = %+v, want one inject at 1.5s", u.Faults)
+	}
+	if got := u.Faults[0].Attrs; len(got) != 2 || got[0] != Str("kind", "crash") || got[1] != Str("target", "backend") {
+		t.Fatalf("fault attrs = %+v", got)
+	}
+	if len(u.Annotations) != 1 || u.Annotations[0].Kind != "cluster.reconfig" {
+		t.Fatalf("annotations = %+v, want the reconfig only", u.Annotations)
+	}
+	if num := u.Annotations[0].Numeric; len(num) != 2 || num[0] || !num[1] {
+		t.Fatalf("numeric flags = %v, want [false true]", num)
+	}
+	if u.LastTUs != 2500000 {
+		t.Fatalf("LastTUs = %d, want 2500000", u.LastTUs)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // This file parses *.timeline.jsonl artifacts (telemetry.WriteTimeline
-// output) into a comparable model. Like cmd/soradash, lines are decoded
-// with a token scanner rather than Unmarshal: fault lines carry two
-// "kind" keys (envelope + fault kind) and map decoding would keep the
-// wrong one. Unlike soradash, attribute values are kept byte-faithful
+// output) into the model that soradiff compares and soradash renders.
+// Lines are decoded with a token scanner rather than Unmarshal: fault
+// lines carry two "kind" keys (envelope + fault kind) and map decoding
+// would keep the wrong one. Attribute values are kept byte-faithful
 // (json.Number, original order) so decision divergences can be rendered
 // exactly as the run recorded them.
 
@@ -31,6 +31,11 @@ type Unit struct {
 	SvcRows   map[string][]SvcWindow `json:"-"`
 	Decisions []Decision             `json:"-"`
 	Faults    []Fault                `json:"-"`
+	// Annotations are the point-in-time events (every line that is not
+	// a window row or a fault line), decisions and run.manifest included.
+	Annotations []Annotation `json:"-"`
+	// LastTUs is the largest t_us of any line in the unit.
+	LastTUs int64 `json:"-"`
 }
 
 // ClusterWindow is one timeline.cluster row (TUs marks window end).
@@ -75,12 +80,23 @@ type Fault struct {
 	Attrs   []KV
 }
 
-// rawEvent is one decoded timeline line.
+// Annotation is one point-in-time event (controller decision, reconfig,
+// autoscaler move, run.manifest) with its attributes in publish order.
+// Numeric[i] reports whether Attrs[i] was a JSON number.
+type Annotation struct {
+	TUs     int64
+	Kind    string
+	Attrs   []KV
+	Numeric []bool
+}
+
+// rawEvent is one decoded timeline line; numeric parallels attrs.
 type rawEvent struct {
-	tUs   int64
-	unit  string
-	kind  string
-	attrs []KV
+	tUs     int64
+	unit    string
+	kind    string
+	attrs   []KV
+	numeric []bool
 }
 
 // attr returns the named attribute value or "".
@@ -169,6 +185,8 @@ func parseLine(line string) (*rawEvent, error) {
 			fallthrough
 		default:
 			ev.attrs = append(ev.attrs, KV{Key: key, Value: renderToken(valTok)})
+			_, num := valTok.(json.Number)
+			ev.numeric = append(ev.numeric, num)
 		}
 	}
 	return ev, nil
@@ -198,9 +216,8 @@ func ParseTimeline(path, raw string) (*Run, error) {
 			return nil, fmt.Errorf("compare: %s line %d: %w", path, i+1, err)
 		}
 		u := unitOf(ev.unit)
+		u.LastTUs = max(u.LastTUs, ev.tUs)
 		switch ev.kind {
-		case "run.manifest":
-			u.Identity = ev.attrs
 		case "timeline.cluster":
 			u.Cluster = append(u.Cluster, ClusterWindow{
 				TUs: ev.tUs, WinS: ev.num("win_s"),
@@ -230,10 +247,16 @@ func ParseTimeline(path, raw string) (*Run, error) {
 				PoolSize: ev.i64("pool_size"), PoolUsed: ev.i64("pool_used"),
 				Util: ev.num("util"), Placement: ev.attr("placement"),
 			})
-		case "controller.decision":
-			u.Decisions = append(u.Decisions, Decision{TUs: ev.tUs, Attrs: ev.attrs})
 		case "fault.inject", "fault.recover":
 			u.Faults = append(u.Faults, Fault{TUs: ev.tUs, Recover: ev.kind == "fault.recover", Attrs: ev.attrs})
+		default:
+			u.Annotations = append(u.Annotations, Annotation{TUs: ev.tUs, Kind: ev.kind, Attrs: ev.attrs, Numeric: ev.numeric})
+			switch ev.kind {
+			case "run.manifest":
+				u.Identity = ev.attrs
+			case "controller.decision":
+				u.Decisions = append(u.Decisions, Decision{TUs: ev.tUs, Attrs: ev.attrs})
+			}
 		}
 	}
 	return run, nil

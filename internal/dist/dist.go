@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"time"
 )
 
@@ -72,41 +71,6 @@ func (d Exponential) Sample(rng *rand.Rand) time.Duration {
 func (d Exponential) Mean() time.Duration { return d.MeanValue }
 
 func (d Exponential) String() string { return fmt.Sprintf("exp(%v)", d.MeanValue) }
-
-// Uniform draws uniformly from [Low, High].
-type Uniform struct {
-	Low  time.Duration
-	High time.Duration
-}
-
-// NewUniform returns a uniform distribution on [low, high]; the bounds are
-// swapped if given in the wrong order and clamped to >= 0.
-func NewUniform(low, high time.Duration) Uniform {
-	if low > high {
-		low, high = high, low
-	}
-	if low < 0 {
-		low = 0
-	}
-	if high < 0 {
-		high = 0
-	}
-	return Uniform{Low: low, High: high}
-}
-
-// Sample implements Distribution.
-func (d Uniform) Sample(rng *rand.Rand) time.Duration {
-	span := d.High - d.Low
-	if span <= 0 {
-		return d.Low
-	}
-	return d.Low + time.Duration(rng.Int64N(int64(span)+1))
-}
-
-// Mean implements Distribution.
-func (d Uniform) Mean() time.Duration { return (d.Low + d.High) / 2 }
-
-func (d Uniform) String() string { return fmt.Sprintf("uniform(%v,%v)", d.Low, d.High) }
 
 // LogNormal models service demands with a right-skewed body, the typical
 // shape of CPU demand in request processing. It is parameterised by its
@@ -265,49 +229,6 @@ func (d Erlang) Mean() time.Duration { return d.MeanValue }
 
 func (d Erlang) String() string { return fmt.Sprintf("erlang(k=%d,mean=%v)", d.K, d.MeanValue) }
 
-// Empirical samples uniformly from a fixed set of observed values. It is
-// used to replay measured demand profiles.
-type Empirical struct {
-	values []time.Duration
-	mean   time.Duration
-}
-
-// NewEmpirical returns a distribution over the given observations. It
-// copies the slice (values sorted for reproducible summaries) and returns
-// an error if no observations are provided.
-func NewEmpirical(values []time.Duration) (Empirical, error) {
-	if len(values) == 0 {
-		return Empirical{}, fmt.Errorf("dist: empirical distribution requires at least one value")
-	}
-	vs := make([]time.Duration, len(values))
-	copy(vs, values)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	var sum time.Duration
-	for i, v := range vs {
-		if v < 0 {
-			vs[i] = 0
-			v = 0
-		}
-		sum += v
-	}
-	return Empirical{values: vs, mean: sum / time.Duration(len(vs))}, nil
-}
-
-// Sample implements Distribution.
-func (d Empirical) Sample(rng *rand.Rand) time.Duration {
-	if len(d.values) == 0 {
-		return 0
-	}
-	return d.values[rng.IntN(len(d.values))]
-}
-
-// Mean implements Distribution.
-func (d Empirical) Mean() time.Duration { return d.mean }
-
-func (d Empirical) String() string {
-	return fmt.Sprintf("empirical(n=%d,mean=%v)", len(d.values), d.mean)
-}
-
 // Scaled wraps a distribution and multiplies every sample by Factor. It is
 // the mechanism behind "system state drifting": a request type whose
 // computation grows (e.g. 2 posts -> 10 posts) is the base demand scaled up.
@@ -340,10 +261,8 @@ func (d Scaled) String() string { return fmt.Sprintf("scaled(%v,x%.2f)", d.Base,
 var (
 	_ Distribution = Deterministic{}
 	_ Distribution = Exponential{}
-	_ Distribution = Uniform{}
 	_ Distribution = LogNormal{}
 	_ Distribution = Pareto{}
 	_ Distribution = Erlang{}
-	_ Distribution = Empirical{}
 	_ Distribution = Scaled{}
 )

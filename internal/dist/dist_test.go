@@ -43,7 +43,6 @@ func TestMeansConvergeToDeclaredMean(t *testing.T) {
 	}{
 		{"deterministic", NewDeterministic(10 * time.Millisecond), 0.0},
 		{"exponential", NewExponential(5 * time.Millisecond), 0.05},
-		{"uniform", NewUniform(2*time.Millisecond, 8*time.Millisecond), 0.05},
 		{"lognormal", NewLogNormal(20*time.Millisecond, 0.5), 0.05},
 		{"erlang", NewErlang(4, 12*time.Millisecond), 0.05},
 		{"scaled", NewScaled(NewExponential(4*time.Millisecond), 2.5), 0.05},
@@ -81,7 +80,6 @@ func TestNonNegativeSamples(t *testing.T) {
 	dists := []Distribution{
 		NewDeterministic(-time.Second),
 		NewExponential(time.Millisecond),
-		NewUniform(-time.Second, time.Second),
 		NewLogNormal(time.Millisecond, 2.0),
 		NewPareto(0, time.Second, 0.8),
 		NewErlang(3, time.Millisecond),
@@ -108,63 +106,6 @@ func TestZeroMeanDistributions(t *testing.T) {
 			if v := d.Sample(rng); v != 0 {
 				t.Errorf("%v with zero mean produced %v", d, v)
 			}
-		}
-	}
-}
-
-func TestUniformSwapsBounds(t *testing.T) {
-	d := NewUniform(9*time.Millisecond, 3*time.Millisecond)
-	if d.Low != 3*time.Millisecond || d.High != 9*time.Millisecond {
-		t.Errorf("bounds not swapped: low=%v high=%v", d.Low, d.High)
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	vals := []time.Duration{time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond}
-	d, err := NewEmpirical(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mean() != 3*time.Millisecond {
-		t.Errorf("mean = %v, want 3ms", d.Mean())
-	}
-	rng := newRNG()
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 1000; i++ {
-		v := d.Sample(rng)
-		seen[v] = true
-		found := false
-		for _, want := range vals {
-			if v == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("sample %v not in source set", v)
-		}
-	}
-	if len(seen) != 3 {
-		t.Errorf("only %d distinct values sampled, want 3", len(seen))
-	}
-}
-
-func TestEmpiricalEmptyErrors(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("expected error for empty empirical distribution")
-	}
-}
-
-func TestEmpiricalCopiesInput(t *testing.T) {
-	vals := []time.Duration{5 * time.Millisecond, time.Millisecond}
-	d, err := NewEmpirical(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals[0] = time.Hour
-	rng := newRNG()
-	for i := 0; i < 100; i++ {
-		if v := d.Sample(rng); v == time.Hour {
-			t.Fatal("empirical distribution aliases caller slice")
 		}
 	}
 }
@@ -207,15 +148,12 @@ func TestLogNormalSigmaZeroIsDeterministic(t *testing.T) {
 }
 
 func TestStringsNonEmpty(t *testing.T) {
-	emp, _ := NewEmpirical([]time.Duration{time.Millisecond})
 	for _, d := range []Distribution{
 		NewDeterministic(time.Second),
 		NewExponential(time.Second),
-		NewUniform(0, time.Second),
 		NewLogNormal(time.Second, 1),
 		NewPareto(time.Millisecond, time.Second, 2),
 		NewErlang(2, time.Second),
-		emp,
 		NewScaled(NewDeterministic(time.Second), 2),
 	} {
 		if d.String() == "" {
@@ -235,26 +173,6 @@ func TestQuickScaledMean(t *testing.T) {
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: uniform samples always land inside the (normalised) bounds.
-func TestQuickUniformInBounds(t *testing.T) {
-	f := func(a, b uint32) bool {
-		lo := time.Duration(a)
-		hi := time.Duration(b)
-		d := NewUniform(lo, hi)
-		rng := newRNG()
-		for i := 0; i < 50; i++ {
-			v := d.Sample(rng)
-			if v < d.Low || v > d.High {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -187,7 +187,7 @@ func runAblationDeadline(p Params, w io.Writer) error {
 		}
 		vdur := p.scale(100 * time.Second)
 		vr.run(vdur)
-		return vr.e2e.GoodputRate(sim.Time(10*time.Second), sim.Time(vdur), sla), nil
+		return vr.c.Completions().GoodputRate(sim.Time(10*time.Second), sim.Time(vdur), sla), nil
 	}
 	// Score both settings (two independent validation runs) on the pool;
 	// identical settings need only one run.

@@ -262,7 +262,7 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 	res := &chaosResult{
 		app:       appName,
 		strategy:  strat,
-		goodput:   r.e2e.GoodputRate(warm, end, goodputRTT),
+		goodput:   r.c.Completions().GoodputRate(warm, end, goodputRTT),
 		completed: r.c.Completed(),
 		failed:    r.c.Failed(),
 		dropped:   r.c.Dropped(),
@@ -273,10 +273,10 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 		rejected:  r.c.BreakerRejections(),
 		degraded:  r.c.Degraded(),
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	if good, degraded, violated := r.e2e.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
+	if good, degraded, violated := r.c.Completions().CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
 		total := float64(good + degraded + violated)
 		res.goodFrac = float64(good) / total
 		res.degradedFrac = float64(degraded) / total
@@ -316,12 +316,12 @@ func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
 			phase:   iv.phase,
 			from:    iv.from,
 			to:      iv.to,
-			goodput: r.e2e.GoodputRate(iv.from, iv.to, goodputRTT),
+			goodput: r.c.Completions().GoodputRate(iv.from, iv.to, goodputRTT),
 		}
-		if p99, err := r.e2e.Percentile(99, iv.from, iv.to); err == nil {
+		if p99, err := r.c.Completions().Percentile(99, iv.from, iv.to); err == nil {
 			row.p99 = p99
 		}
-		good, degraded, violated := r.e2e.CountsByOutcome(iv.from, iv.to, goodputRTT)
+		good, degraded, violated := r.c.Completions().CountsByOutcome(iv.from, iv.to, goodputRTT)
 		if total := good + degraded + violated; total > 0 {
 			row.goodFrac = float64(good) / float64(total)
 			row.degradedFrac = float64(degraded) / float64(total)

@@ -227,14 +227,14 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 	if r.ctl != nil {
 		res.events = r.ctl.Events()
 	}
-	if p95, err := r.e2e.Percentile(95, warm, end); err == nil {
+	if p95, err := r.c.Completions().Percentile(95, warm, end); err == nil {
 		res.p95 = p95
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	res.goodput = r.e2e.GoodputRate(warm, end, rc.gpThreshold)
-	res.thru = r.e2e.ThroughputRate(warm, end)
+	res.goodput = r.c.Completions().GoodputRate(warm, end, rc.gpThreshold)
+	res.thru = r.c.Completions().ThroughputRate(warm, end)
 	return res, nil
 }
 

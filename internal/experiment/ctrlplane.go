@@ -182,7 +182,7 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 	res := &chaosResult{
 		app:       prof.name,
 		strategy:  strat,
-		goodput:   r.e2e.GoodputRate(warm, end, goodputRTT),
+		goodput:   r.c.Completions().GoodputRate(warm, end, goodputRTT),
 		completed: r.c.Completed(),
 		failed:    r.c.Failed(),
 		dropped:   r.c.Dropped(),
@@ -193,10 +193,10 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 		rejected:  r.c.BreakerRejections(),
 		degraded:  r.c.Degraded(),
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	if good, degraded, violated := r.e2e.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
+	if good, degraded, violated := r.c.Completions().CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
 		total := float64(good + degraded + violated)
 		res.goodFrac = float64(good) / total
 		res.degradedFrac = float64(degraded) / total

@@ -145,10 +145,10 @@ func runFig1(p Params, w io.Writer) error {
 
 		o := &outcome{tl: tl}
 		warm := sim.Time(5 * time.Second)
-		if p99, err := r.e2e.Percentile(99, warm, sim.Time(dur)); err == nil {
+		if p99, err := r.c.Completions().Percentile(99, warm, sim.Time(dur)); err == nil {
 			o.p99 = p99
 		}
-		o.goodput = r.e2e.GoodputRate(warm, sim.Time(dur), goodputRTT)
+		o.goodput = r.c.Completions().GoodputRate(warm, sim.Time(dur), goodputRTT)
 		if r.ctl != nil {
 			o.events = r.ctl.Events()
 		}

@@ -74,7 +74,7 @@ func runFig4(p Params, w io.Writer) error {
 		if err != nil {
 			return result{}, err
 		}
-		for _, c := range r.e2e.Window(warm, sim.Time(dur)) {
+		for _, c := range r.c.Completions().Window(warm, sim.Time(dur)) {
 			hist.Observe(c.RT)
 		}
 		res := result{threads: threads, hist: hist, total: hist.Total(), below: map[time.Duration]float64{}}

@@ -7,30 +7,23 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/dist"
-	"sora/internal/metrics"
 	"sora/internal/node"
 	"sora/internal/profile"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
-	"sora/internal/trace"
 	"sora/internal/workload"
 )
 
 // rig bundles a deployed cluster, a closed-loop workload and (optionally)
 // monitoring plus a Sora/ConScale controller — the shared scaffolding of
-// every experiment.
+// every experiment. Final-report statistics come from the cluster's
+// completion log, c.Completions(), which holds the whole run.
 type rig struct {
 	k    *sim.Kernel
 	c    *cluster.Cluster
 	mon  *core.Monitor
 	loop *workload.ClosedLoop
 	ctl  *core.Controller
-
-	// e2e records every end-to-end completion for the whole run. The
-	// cluster's own completion log is pruned to its retention window
-	// (it feeds the online models); final-report statistics must come
-	// from this unpruned log.
-	e2e *metrics.CompletionLog
 
 	timeline *timeline
 	flight   *cluster.FlightRecorder
@@ -122,7 +115,7 @@ func newRig(cfg rigConfig) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{k: k, c: c, mon: mon, loop: loop, e2e: &metrics.CompletionLog{}}
+	r := &rig{k: k, c: c, mon: mon, loop: loop}
 	if cfg.tel != nil && cfg.flightWindow > 0 {
 		f, err := c.ArmFlightRecorder(cfg.flightWindow, goodputRTT)
 		if err != nil {
@@ -130,11 +123,6 @@ func newRig(cfg rigConfig) (*rig, error) {
 		}
 		r.flight = f
 	}
-	c.OnComplete(func(tr *trace.Trace) {
-		// Degraded completions must not count as goodput in the final
-		// report, exactly as in the cluster's own pruned logs.
-		r.e2e.AddFlagged(k.Now(), tr.ResponseTime(), tr.Root.Degraded)
-	})
 	if cfg.prof != nil {
 		c.OnComplete(cfg.prof.Add)
 	}

@@ -65,7 +65,7 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 		r.run(dur)
 		end := sim.Time(dur)
 		pt := sweepPoint{size: size, goodput: make(map[time.Duration]float64, len(thresholds))}
-		log := r.e2e
+		log := r.c.Completions()
 		if sc.service != "" {
 			svc, err := r.c.Service(sc.service)
 			if err != nil {
@@ -76,7 +76,7 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 		for _, th := range thresholds {
 			pt.goodput[th] = log.GoodputRate(sim.Time(warm), end, th)
 		}
-		if p95, err := r.e2e.Percentile(95, sim.Time(warm), end); err == nil {
+		if p95, err := r.c.Completions().Percentile(95, sim.Time(warm), end); err == nil {
 			pt.p95 = p95
 		}
 		if utilService != "" {

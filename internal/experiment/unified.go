@@ -45,13 +45,13 @@ func runUnifiedExt(p Params, w io.Writer) error {
 		warm := sim.Time(10 * time.Second)
 		end := sim.Time(dur)
 		o := &outcome{hwChanges: hw, events: events}
-		if p95, err := r.e2e.Percentile(95, warm, end); err == nil {
+		if p95, err := r.c.Completions().Percentile(95, warm, end); err == nil {
 			o.p95 = p95
 		}
-		if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+		if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
 			o.p99 = p99
 		}
-		o.goodput = r.e2e.GoodputRate(warm, end, goodputRTT)
+		o.goodput = r.c.Completions().GoodputRate(warm, end, goodputRTT)
 		return o
 	}
 	build := func(tel *telemetry.Recorder) (*rig, cluster.ResourceRef, error) {

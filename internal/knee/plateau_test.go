@@ -126,26 +126,6 @@ func TestFindPlateauEndWithSmoothing(t *testing.T) {
 	}
 }
 
-func TestFindPlateauEndAuto(t *testing.T) {
-	xs := stats.Linspace(1, 50, 100)
-	ys := plateauShape(xs, 10, 30, 800)
-	res, err := FindPlateauEndAuto(xs, ys, AutoOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degree < 5 || res.Degree > 8 {
-		t.Errorf("auto degree %d outside [5,8]", res.Degree)
-	}
-	// Polynomial smoothing rounds the plateau corners, biasing the edge
-	// slightly inward; accept a generous band around the true edge (30).
-	if res.X < 18 || res.X > 40 {
-		t.Errorf("auto plateau end %g, want ~30", res.X)
-	}
-	if _, err := FindPlateauEndAuto([]float64{1, 2}, []float64{1, 2}, AutoOptions{}); !errors.Is(err, ErrTooFewPoints) {
-		t.Errorf("too few points: %v", err)
-	}
-}
-
 // Property: the plateau end never precedes the curve's maximum.
 func TestQuickPlateauEndAtOrAfterPeak(t *testing.T) {
 	f := func(riseRaw, dropRaw uint8) bool {

@@ -26,40 +26,9 @@ type Point struct {
 }
 
 // Series is an append-only time series of gauge samples, appended in
-// nondecreasing time order (enforced). By default it grows without
-// limit; SetBound turns it into a ring keeping only the most recent
-// samples, which is what lets streaming million-user runs hold memory
-// flat while the online models still see their trailing window.
+// nondecreasing time order (enforced). It grows until pruned.
 type Series struct {
-	pts   []Point
-	bound int
-}
-
-// SetBound caps the series at the n most recent samples (0 restores
-// unbounded growth). Trimming is amortized: the slice is allowed to
-// reach 2n before the newest n samples are copied down in place, so a
-// bounded series costs O(1) amortized per Add and never holds more than
-// ~2n points regardless of run length.
-func (s *Series) SetBound(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.bound = n
-	s.trim()
-}
-
-// Bound returns the configured sample cap (0 = unbounded).
-func (s *Series) Bound() int { return s.bound }
-
-// trim enforces the bound once the slice has outgrown the slack that
-// amortizes the copy-down.
-func (s *Series) trim() {
-	if s.bound == 0 || len(s.pts) <= 2*s.bound {
-		return
-	}
-	keep := s.pts[len(s.pts)-s.bound:]
-	copy(s.pts, keep)
-	s.pts = s.pts[:s.bound]
+	pts []Point
 }
 
 // Add appends an observation. Out-of-order appends panic: the simulator's
@@ -70,7 +39,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 		panic(fmt.Sprintf("metrics: out-of-order sample at %v after %v", t, s.pts[n-1].T))
 	}
 	s.pts = append(s.pts, Point{T: t, V: v})
-	s.trim()
 }
 
 // Len returns the number of stored samples.

@@ -7,7 +7,6 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/sim"
 	"sora/internal/trace"
-	"sora/internal/workload"
 )
 
 func TestSockShopValidates(t *testing.T) {
@@ -43,13 +42,7 @@ func TestSockShopRequestsComplete(t *testing.T) {
 	}
 	types := map[string]int{}
 	c.OnComplete(func(tr *trace.Trace) { types[tr.Type]++ })
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(200), 200, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	gen.Stop()
+	submitAtRate(k, c, 200, 10*time.Second)
 	k.Run()
 	if c.InFlight() != 0 {
 		t.Errorf("in-flight = %d after drain", c.InFlight())
@@ -90,13 +83,7 @@ func TestSockShopCriticalPathThroughCartOrCatalogue(t *testing.T) {
 			}
 		}
 	})
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(300), 300, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(20 * time.Second))
-	gen.Stop()
+	submitAtRate(k, c, 300, 20*time.Second)
 	k.Run()
 	// Figure 5's point: either branch can dominate depending on runtime
 	// conditions. Both must appear across many requests.
@@ -114,13 +101,7 @@ func TestSocialNetworkRequestsComplete(t *testing.T) {
 	}
 	types := map[string]int{}
 	c.OnComplete(func(tr *trace.Trace) { types[tr.Type]++ })
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(300), 300, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	gen.Stop()
+	submitAtRate(k, c, 300, 10*time.Second)
 	k.Run()
 	for _, want := range []string{ReqReadHomeTimeline, ReqReadUserTimeline, ReqComposePost, ReqSearch} {
 		if types[want] == 0 {
@@ -151,13 +132,7 @@ func TestHeavyReadsBlockLongerOnPostStorage(t *testing.T) {
 				n++
 			}
 		})
-		gen, err := workload.NewGenerator(k, workload.ConstantRate(50), 50, c.SubmitMix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen.Start()
-		k.RunUntil(sim.Time(10 * time.Second))
-		gen.Stop()
+		submitAtRate(k, c, 50, 10*time.Second)
 		k.Run()
 		if n == 0 {
 			t.Fatal("no post-storage spans")
@@ -241,5 +216,14 @@ func TestLightVsHeavyPostCount(t *testing.T) {
 	}
 	if countMongo(heavy) != HeavyReadPosts {
 		t.Errorf("heavy mongo fetches = %d, want %d", countMongo(heavy), HeavyReadPosts)
+	}
+}
+
+// submitAtRate injects requests drawn from c's mix at a fixed rate over
+// the first d of virtual time.
+func submitAtRate(k *sim.Kernel, c *cluster.Cluster, rps int, d time.Duration) {
+	gap := time.Second / time.Duration(rps)
+	for at := time.Duration(0); at < d; at += gap {
+		k.At(at, c.SubmitMix)
 	}
 }

@@ -225,41 +225,6 @@ func TestWarehouseDefaultRetention(t *testing.T) {
 	}
 }
 
-func TestWarehouseServiceSpans(t *testing.T) {
-	w := NewWarehouse(time.Hour)
-	w.Add(chainTrace(1))
-	w.Add(forkTrace(2))
-	spans := w.ServiceSpans("cart", 0, sim.Time(time.Hour))
-	if len(spans) != 2 {
-		t.Fatalf("got %d cart spans, want 2", len(spans))
-	}
-	spans = w.ServiceSpans("catalogue", 0, sim.Time(time.Hour))
-	if len(spans) != 1 {
-		t.Fatalf("got %d catalogue spans, want 1", len(spans))
-	}
-	// Window restriction: both test traces complete at 100ms.
-	spans = w.ServiceSpans("cart", sim.Time(200*time.Millisecond), sim.Time(time.Hour))
-	if len(spans) != 0 {
-		t.Errorf("got %d spans outside window, want 0", len(spans))
-	}
-}
-
-func TestWarehouseServices(t *testing.T) {
-	w := NewWarehouse(time.Hour)
-	w.Add(chainTrace(1))
-	w.Add(forkTrace(2))
-	svcs := w.Services()
-	want := map[string]bool{"front-end": true, "cart": true, "cart-db": true, "catalogue": true}
-	if len(svcs) != len(want) {
-		t.Fatalf("Services() = %v", svcs)
-	}
-	for _, s := range svcs {
-		if !want[s] {
-			t.Errorf("unexpected service %q", s)
-		}
-	}
-}
-
 func TestWarehouseAllIsCopy(t *testing.T) {
 	w := NewWarehouse(time.Hour)
 	w.Add(chainTrace(1))

@@ -4,30 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"sora/internal/sim"
 )
-
-func TestConstantRate(t *testing.T) {
-	r := ConstantRate(100)
-	if r(0) != 100 || r(sim.Time(time.Hour)) != 100 {
-		t.Error("constant rate not constant")
-	}
-	if ConstantRate(-5)(0) != 0 {
-		t.Error("negative rate not clamped")
-	}
-}
-
-func TestStepRate(t *testing.T) {
-	r := StepRate(sim.Time(time.Minute), 10, 50)
-	if r(0) != 10 {
-		t.Errorf("rate before step = %g, want 10", r(0))
-	}
-	if r(sim.Time(time.Minute)) != 50 {
-		t.Errorf("rate at step = %g, want 50", r(sim.Time(time.Minute)))
-	}
-}
 
 func TestTraceIntensityInterpolation(t *testing.T) {
 	tr := Trace{Name: "test", Points: []TracePoint{{0, 0}, {0.5, 1}, {1, 0}}}
@@ -47,26 +24,6 @@ func TestTraceIntensityDuplicateFrac(t *testing.T) {
 	}
 	if got := tr.Intensity(0.75); math.Abs(got-0.9) > 1e-12 {
 		t.Errorf("after step = %g, want 0.9", got)
-	}
-}
-
-func TestTraceRate(t *testing.T) {
-	tr := Trace{Name: "test", Points: []TracePoint{{0, 0.5}, {1, 1}}}
-	r := tr.Rate(10*time.Minute, 1000)
-	if got := r(0); math.Abs(got-500) > 1e-9 {
-		t.Errorf("rate(0) = %g, want 500", got)
-	}
-	if got := r(sim.Time(10 * time.Minute)); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("rate(end) = %g, want 1000", got)
-	}
-	if got := r(sim.Time(20 * time.Minute)); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("rate past end = %g, want clamped 1000", got)
-	}
-	if tr.Rate(0, 100)(0) != 0 {
-		t.Error("zero duration should give zero rate")
-	}
-	if tr.Rate(time.Minute, 0)(0) != 0 {
-		t.Error("zero peak should give zero rate")
 	}
 }
 
@@ -156,119 +113,6 @@ func TestSteepTriPhaseHasTwoOverloadWindows(t *testing.T) {
 	}
 }
 
-func TestGeneratorPoissonRate(t *testing.T) {
-	k := sim.NewKernel(1)
-	count := 0
-	g, err := NewGenerator(k, ConstantRate(1000), 1000, func() { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	g.Stop()
-	// Expect ~10000 arrivals; Poisson sd = 100, allow 5 sigma.
-	if count < 9500 || count > 10500 {
-		t.Errorf("arrivals = %d, want ~10000", count)
-	}
-	if g.Emitted() != uint64(count) {
-		t.Errorf("Emitted() = %d, want %d", g.Emitted(), count)
-	}
-}
-
-func TestGeneratorThinningFollowsRate(t *testing.T) {
-	k := sim.NewKernel(2)
-	// First 5s at 200/s, then 5s at 1000/s.
-	rate := StepRate(sim.Time(5*time.Second), 200, 1000)
-	var firstHalf, secondHalf int
-	g, err := NewGenerator(k, rate, 1000, func() {
-		if k.Now() < sim.Time(5*time.Second) {
-			firstHalf++
-		} else {
-			secondHalf++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	g.Stop()
-	if firstHalf < 800 || firstHalf > 1200 {
-		t.Errorf("first-half arrivals = %d, want ~1000", firstHalf)
-	}
-	if secondHalf < 4600 || secondHalf > 5400 {
-		t.Errorf("second-half arrivals = %d, want ~5000", secondHalf)
-	}
-}
-
-func TestGeneratorStopHalts(t *testing.T) {
-	k := sim.NewKernel(3)
-	count := 0
-	g, err := NewGenerator(k, ConstantRate(100), 100, func() { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	k.RunUntil(sim.Time(time.Second))
-	g.Stop()
-	at := count
-	k.RunUntil(sim.Time(10 * time.Second))
-	if count != at {
-		t.Errorf("arrivals continued after Stop: %d -> %d", at, count)
-	}
-	// Restart works.
-	g.Start()
-	k.RunUntil(sim.Time(11 * time.Second))
-	if count == at {
-		t.Error("no arrivals after restart")
-	}
-}
-
-func TestGeneratorStartIdempotent(t *testing.T) {
-	k := sim.NewKernel(4)
-	count := 0
-	g, err := NewGenerator(k, ConstantRate(1000), 1000, func() { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	g.Start() // must not double the rate
-	k.RunUntil(sim.Time(5 * time.Second))
-	if count > 5600 {
-		t.Errorf("double Start doubled arrivals: %d", count)
-	}
-}
-
-func TestGeneratorConstructorErrors(t *testing.T) {
-	k := sim.NewKernel(1)
-	cases := []struct {
-		name string
-		fn   func() error
-	}{
-		{"nil kernel", func() error { _, err := NewGenerator(nil, ConstantRate(1), 1, func() {}); return err }},
-		{"nil rate", func() error { _, err := NewGenerator(k, nil, 1, func() {}); return err }},
-		{"nil emit", func() error { _, err := NewGenerator(k, ConstantRate(1), 1, nil); return err }},
-		{"zero peak", func() error { _, err := NewGenerator(k, ConstantRate(1), 0, func() {}); return err }},
-	}
-	for _, tt := range cases {
-		if err := tt.fn(); err == nil {
-			t.Errorf("%s: expected error", tt.name)
-		}
-	}
-}
-
-func TestUsersToRate(t *testing.T) {
-	if got := UsersToRate(3500, time.Second); got != 3500 {
-		t.Errorf("UsersToRate = %g, want 3500", got)
-	}
-	if got := UsersToRate(100, 2*time.Second); got != 50 {
-		t.Errorf("UsersToRate = %g, want 50", got)
-	}
-	if UsersToRate(0, time.Second) != 0 || UsersToRate(10, 0) != 0 {
-		t.Error("degenerate inputs should give 0")
-	}
-}
-
 // Property: intensity is always within [0,1] for valid traces at any f.
 func TestQuickIntensityBounded(t *testing.T) {
 	traces := Traces()
@@ -280,41 +124,5 @@ func TestQuickIntensityBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: generated arrival count over a window scales linearly with
-// the rate (within Poisson noise).
-func TestQuickGeneratorScalesWithRate(t *testing.T) {
-	f := func(rateRaw uint8) bool {
-		rate := float64(rateRaw%50)*20 + 100 // 100..1080
-		k := sim.NewKernel(uint64(rateRaw) + 99)
-		count := 0
-		g, err := NewGenerator(k, ConstantRate(rate), rate, func() { count++ })
-		if err != nil {
-			return false
-		}
-		g.Start()
-		k.RunUntil(sim.Time(20 * time.Second))
-		expected := rate * 20
-		sd := math.Sqrt(expected)
-		return math.Abs(float64(count)-expected) < 6*sd
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkGenerator(b *testing.B) {
-	k := sim.NewKernel(1)
-	tr := LargeVariationTrace()
-	g, err := NewGenerator(k, tr.Rate(12*time.Minute, 3000), 3000, func() {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g.Start()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.RunFor(10 * time.Millisecond)
 	}
 }

@@ -24,9 +24,13 @@
 # bench suite in quick mode and the regression sentinel
 # (scripts/regress.sh -quick), which checks the deterministic
 # goodput/p99 metrics of a pinned chaos-scenario suite against the
-# checked-in BASELINE.json.
+# checked-in BASELINE.json. The non-test Go line count (scripts/loc.sh)
+# is printed first for the record; it is informational, not a gate.
 set -eu
 cd "$(dirname "$0")"
+
+echo "== non-test Go lines (informational, scripts/loc.sh)"
+sh scripts/loc.sh || echo "loc.sh failed (informational only)"
 
 echo "== gofmt -l"
 UNFORMATTED="$(gofmt -l .)"
