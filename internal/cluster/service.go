@@ -187,7 +187,7 @@ func (s *Service) Concurrency() int {
 func (s *Service) QueueLength() int {
 	n := 0
 	for _, in := range s.instances {
-		n += len(in.queue)
+		n += in.queue.len()
 	}
 	return n
 }
@@ -276,7 +276,7 @@ type Instance struct {
 	// waiting for admission.
 	threadCap int
 	active    int
-	queue     []*visit
+	queue     fifo[*visit]
 	queueCap  int
 
 	// db limits concurrent downstream calls from this pod.
@@ -341,7 +341,7 @@ func (in *Instance) CPU() *psq.Server { return in.cpu }
 func (in *Instance) Active() int { return in.active }
 
 // QueueLen returns the admission queue length.
-func (in *Instance) QueueLen() int { return len(in.queue) }
+func (in *Instance) QueueLen() int { return in.queue.len() }
 
 // Draining reports whether the pod is being decommissioned.
 func (in *Instance) Draining() bool { return in.draining }
@@ -355,7 +355,7 @@ func (in *Instance) Ready() bool { return in.ready }
 func (in *Instance) Pod() *node.Pod { return in.pod }
 
 func (in *Instance) idle() bool {
-	return in.active == 0 && len(in.queue) == 0
+	return in.active == 0 && in.queue.len() == 0
 }
 
 // hasThreadCapacity reports whether a new request can be admitted now.
@@ -376,9 +376,9 @@ func (in *Instance) Crash() {
 	in.down = true
 	in.epoch++
 	q := in.queue
-	in.queue = nil
-	for _, v := range q {
-		v.refuse()
+	in.queue = fifo[*visit]{}
+	for q.len() > 0 {
+		q.pop().refuse()
 	}
 	if cp := in.svc.c.cp; cp != nil {
 		// Readiness-probe failure: the crashed pod leaves the endpoint
@@ -436,11 +436,11 @@ func (in *Instance) enqueue(v *visit) {
 		v.refuse()
 		return
 	}
-	if in.hasThreadCapacity() && len(in.queue) == 0 {
+	if in.hasThreadCapacity() && in.queue.len() == 0 {
 		in.admit(v)
 		return
 	}
-	if in.queueCap > 0 && len(in.queue) >= in.queueCap {
+	if in.queueCap > 0 && in.queue.len() >= in.queueCap {
 		in.meta.dropped++
 		in.svc.c.dropped++
 		if in.svc.flight != nil {
@@ -450,7 +450,7 @@ func (in *Instance) enqueue(v *visit) {
 		v.drop()
 		return
 	}
-	in.queue = append(in.queue, v) //soravet:allow hotpath admission queue append reuses capacity at steady state; queueCap bounds growth when configured
+	in.queue.push(v)
 }
 
 // admit moves the visit into service.
@@ -465,12 +465,8 @@ func (in *Instance) admit(v *visit) {
 func (in *Instance) visitDone() {
 	in.active--
 	in.meta.completed++
-	for len(in.queue) > 0 && in.hasThreadCapacity() {
-		next := in.queue[0]
-		copy(in.queue, in.queue[1:])
-		in.queue[len(in.queue)-1] = nil
-		in.queue = in.queue[:len(in.queue)-1]
-		in.admit(next)
+	for in.queue.len() > 0 && in.hasThreadCapacity() {
+		in.admit(in.queue.pop())
 	}
 	if in.draining && in.idle() {
 		in.svc.reap()
@@ -481,12 +477,8 @@ func (in *Instance) visitDone() {
 // the pool grew.
 func (in *Instance) setThreadCap(n int) {
 	in.threadCap = n
-	for len(in.queue) > 0 && in.hasThreadCapacity() {
-		next := in.queue[0]
-		copy(in.queue, in.queue[1:])
-		in.queue[len(in.queue)-1] = nil
-		in.queue = in.queue[:len(in.queue)-1]
-		in.admit(next)
+	for in.queue.len() > 0 && in.hasThreadCapacity() {
+		in.admit(in.queue.pop())
 	}
 }
 
@@ -495,7 +487,7 @@ func (in *Instance) setThreadCap(n int) {
 type pool struct {
 	cap     int
 	active  int
-	waiting []func()
+	waiting fifo[func()]
 }
 
 func (p *pool) acquire(cont func()) {
@@ -504,31 +496,23 @@ func (p *pool) acquire(cont func()) {
 		cont()
 		return
 	}
-	p.waiting = append(p.waiting, cont)
+	p.waiting.push(cont)
 }
 
 func (p *pool) release() {
 	p.active--
-	if len(p.waiting) > 0 && (p.cap == 0 || p.active < p.cap) {
-		next := p.waiting[0]
-		copy(p.waiting, p.waiting[1:])
-		p.waiting[len(p.waiting)-1] = nil
-		p.waiting = p.waiting[:len(p.waiting)-1]
+	if p.waiting.len() > 0 && (p.cap == 0 || p.active < p.cap) {
 		p.active++
-		next()
+		p.waiting.pop()()
 	}
 }
 
 // setCap resizes the pool, draining waiters into freed slots.
 func (p *pool) setCap(n int) {
 	p.cap = n
-	for len(p.waiting) > 0 && (p.cap == 0 || p.active < p.cap) {
-		next := p.waiting[0]
-		copy(p.waiting, p.waiting[1:])
-		p.waiting[len(p.waiting)-1] = nil
-		p.waiting = p.waiting[:len(p.waiting)-1]
+	for p.waiting.len() > 0 && (p.cap == 0 || p.active < p.cap) {
 		p.active++
-		next()
+		p.waiting.pop()()
 	}
 }
 

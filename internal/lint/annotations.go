@@ -191,17 +191,29 @@ func assignTargetObj(info *types.Info, lhs ast.Expr) types.Object {
 // method it statically invokes, or nil for dynamic calls (function
 // values, interface methods resolve to their interface *types.Func,
 // which has no declaration in declOf and therefore also cuts the
-// graph), conversions, and builtins.
+// graph), conversions, and builtins. Calls of generic functions and of
+// methods of generic types resolve to the generic declaration: the
+// instantiated *types.Func the type checker records is never a key of
+// declOf.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) { // explicit instantiation: f[T](...)
+	case *ast.IndexExpr:
+		fun = ast.Unparen(inst.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(inst.X)
 	}
-	return nil
+	var fn *types.Func
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 func (a *annotations) problem(p *Package, pos token.Pos, format string, args ...any) {

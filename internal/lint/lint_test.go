@@ -153,7 +153,8 @@ func TestCatalog(t *testing.T) {
 // catch are actually caught in the fixtures: the PR 6 class
 // stale-timer-handle bug (a re-arm callback that never nils its stored
 // handle) and an allocation inside a Timer.Reset-like AllocsPerRun-
-// pinned root. Goldens pin the full output; this test pins the intent,
+// pinned root, also when it is reached only through a method of a
+// generic type. Goldens pin the full output; this test pins the intent,
 // so a future message rewrite cannot silently drop the detection.
 func TestSeededBugs(t *testing.T) {
 	cases := []struct {
@@ -163,6 +164,7 @@ func TestSeededBugs(t *testing.T) {
 		{"poolsafe", "poolsafe", "internal/app/app.go", "used after"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "allocates a closure"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "kernel.Timer.Reset"},
+		{"hotpath", "hotpath", "internal/kernel/generic.go", "append may grow its backing array (hot path, reachable from //soravet:hotpath root kernel.Kernel.Park)"},
 	}
 	for _, c := range cases {
 		findings, err := Run(filepath.Join("testdata", c.fixture), Options{Checks: []string{c.check}})

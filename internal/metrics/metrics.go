@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sora/internal/sim"
@@ -25,55 +24,46 @@ type Point struct {
 	V float64
 }
 
+func (p Point) when() sim.Time { return p.T }
+
 // Series is an append-only time series of gauge samples, appended in
-// nondecreasing time order (enforced). It grows until pruned.
+// nondecreasing time order (enforced). It grows until pruned; storage is
+// chunked (see chunks), so neither Add nor Prune copies stored samples.
 type Series struct {
-	pts []Point
+	pts chunks[Point]
 }
 
 // Add appends an observation. Out-of-order appends panic: the simulator's
 // single-threaded kernel makes them impossible unless a component is
 // misusing the series.
 func (s *Series) Add(t sim.Time, v float64) {
-	if n := len(s.pts); n > 0 && t < s.pts[n-1].T {
-		panic(fmt.Sprintf("metrics: out-of-order sample at %v after %v", t, s.pts[n-1].T))
+	if s.pts.n > 0 && t < s.pts.last().T {
+		panic(fmt.Sprintf("metrics: out-of-order sample at %v after %v", t, s.pts.last().T))
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
+	s.pts.push(Point{T: t, V: v})
 }
 
 // Len returns the number of stored samples.
-func (s *Series) Len() int { return len(s.pts) }
+func (s *Series) Len() int { return s.pts.n }
 
 // Window returns the samples with T in [since, until).
 func (s *Series) Window(since, until sim.Time) []Point {
-	lo := s.lowerBound(since)
-	hi := s.lowerBound(until)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Point, hi-lo)
-	copy(out, s.pts[lo:hi])
-	return out
+	lo, hi := s.pts.window(since, until)
+	return s.pts.copyRange(lo, hi)
 }
 
 // Last returns the most recent sample and true, or a zero Point and false
 // when the series is empty.
 func (s *Series) Last() (Point, bool) {
-	if len(s.pts) == 0 {
+	if s.pts.n == 0 {
 		return Point{}, false
 	}
-	return s.pts[len(s.pts)-1], true
+	return *s.pts.last(), true
 }
 
 // Prune discards samples older than the cutoff.
 func (s *Series) Prune(before sim.Time) {
-	i := s.lowerBound(before)
-	if i == 0 {
-		return
-	}
-	remaining := len(s.pts) - i
-	copy(s.pts, s.pts[i:])
-	s.pts = s.pts[:remaining]
+	s.pts.dropFront(s.pts.search(before))
 }
 
 // BucketMeans partitions [since, until) into fixed buckets and returns the
@@ -86,13 +76,18 @@ func (s *Series) BucketMeans(since, until sim.Time, bucket time.Duration) []floa
 	}
 	sums := make([]float64, n)
 	counts := make([]int, n)
-	for _, p := range s.pts[s.lowerBound(since):s.lowerBound(until)] {
-		idx := int((p.T - since) / bucket)
-		if idx < 0 || idx >= n {
-			continue
+	lo, hi := s.pts.window(since, until)
+	for i := lo; i < hi; {
+		r := s.pts.run(i, hi)
+		for _, p := range r {
+			idx := int((p.T - since) / bucket)
+			if idx < 0 || idx >= n {
+				continue
+			}
+			sums[idx] += p.V
+			counts[idx]++
 		}
-		sums[idx] += p.V
-		counts[idx]++
+		i += len(r)
 	}
 	out := make([]float64, n)
 	for i := range out {
@@ -103,10 +98,6 @@ func (s *Series) BucketMeans(since, until sim.Time, bucket time.Duration) []floa
 		}
 	}
 	return out
-}
-
-func (s *Series) lowerBound(t sim.Time) int {
-	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= t })
 }
 
 // Completion records one finished request.
@@ -120,12 +111,15 @@ type Completion struct {
 	Degraded bool
 }
 
+func (c Completion) when() sim.Time { return c.At }
+
 // CompletionLog is an append-only log of request completions, stored in
 // completion order. Keeping raw completions (instead of pre-bucketed
 // counters) lets the SCG model re-derive goodput against any propagated
 // deadline after the fact — the crux of threshold-sensitive estimation.
+// Storage is chunked like Series: appends and prunes copy nothing.
 type CompletionLog struct {
-	completions []Completion
+	completions chunks[Completion]
 }
 
 // Add appends a completion; out-of-order appends panic (see Series.Add).
@@ -136,35 +130,24 @@ func (l *CompletionLog) Add(at sim.Time, rt time.Duration) {
 // AddFlagged appends a completion carrying the degraded marker;
 // out-of-order appends panic (see Series.Add).
 func (l *CompletionLog) AddFlagged(at sim.Time, rt time.Duration, degraded bool) {
-	if n := len(l.completions); n > 0 && at < l.completions[n-1].At {
-		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, l.completions[n-1].At))
+	if l.completions.n > 0 && at < l.completions.last().At {
+		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, l.completions.last().At))
 	}
-	l.completions = append(l.completions, Completion{At: at, RT: rt, Degraded: degraded})
+	l.completions.push(Completion{At: at, RT: rt, Degraded: degraded})
 }
 
 // Len returns the number of recorded completions.
-func (l *CompletionLog) Len() int { return len(l.completions) }
+func (l *CompletionLog) Len() int { return l.completions.n }
 
 // Prune discards completions older than the cutoff.
 func (l *CompletionLog) Prune(before sim.Time) {
-	i := l.lowerBound(before)
-	if i == 0 {
-		return
-	}
-	remaining := len(l.completions) - i
-	copy(l.completions, l.completions[i:])
-	l.completions = l.completions[:remaining]
+	l.completions.dropFront(l.completions.search(before))
 }
 
 // Window returns completions with At in [since, until).
 func (l *CompletionLog) Window(since, until sim.Time) []Completion {
-	lo, hi := l.lowerBound(since), l.lowerBound(until)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Completion, hi-lo)
-	copy(out, l.completions[lo:hi])
-	return out
+	lo, hi := l.completions.window(since, until)
+	return l.completions.copyRange(lo, hi)
 }
 
 // Counts returns (goodput, badput) request counts in [since, until)
@@ -172,14 +155,17 @@ func (l *CompletionLog) Window(since, until sim.Time) []Completion {
 // badput whatever their latency: a fast partial answer does not meet
 // the SLA.
 func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (good, bad int) {
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		if !c.Degraded && c.RT <= threshold {
-			good++
-		} else {
-			bad++
+	lo, hi := l.completions.window(since, until)
+	for i := lo; i < hi; {
+		r := l.completions.run(i, hi)
+		for _, c := range r {
+			if !c.Degraded && c.RT <= threshold {
+				good++
+			}
 		}
+		i += len(r)
 	}
-	return good, bad
+	return good, hi - lo - good
 }
 
 // CountsByOutcome splits the completions of [since, until) three ways
@@ -187,15 +173,20 @@ func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (
 // (partial response, any latency), violated (full response over the
 // SLA). The chaos experiments report these fractions per fault window.
 func (l *CompletionLog) CountsByOutcome(since, until sim.Time, threshold time.Duration) (good, degraded, violated int) {
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		switch {
-		case c.Degraded:
-			degraded++
-		case c.RT <= threshold:
-			good++
-		default:
-			violated++
+	lo, hi := l.completions.window(since, until)
+	for i := lo; i < hi; {
+		r := l.completions.run(i, hi)
+		for _, c := range r {
+			switch {
+			case c.Degraded:
+				degraded++
+			case c.RT <= threshold:
+				good++
+			default:
+				violated++
+			}
 		}
+		i += len(r)
 	}
 	return good, degraded, violated
 }
@@ -216,8 +207,8 @@ func (l *CompletionLog) ThroughputRate(since, until sim.Time) float64 {
 	if until <= since {
 		return 0
 	}
-	good, bad := l.Counts(since, until, time.Duration(math.MaxInt64))
-	return float64(good+bad) / (until - since).Seconds()
+	lo, hi := l.completions.window(since, until)
+	return float64(hi-lo) / (until - since).Seconds()
 }
 
 // BucketRates partitions [since, until) into fixed buckets and returns the
@@ -231,15 +222,20 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 	goodput = make([]float64, n)
 	throughput = make([]float64, n)
 	perBucket := bucket.Seconds()
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		idx := int((c.At - since) / bucket)
-		if idx < 0 || idx >= n {
-			continue
+	lo, hi := l.completions.window(since, until)
+	for i := lo; i < hi; {
+		r := l.completions.run(i, hi)
+		for _, c := range r {
+			idx := int((c.At - since) / bucket)
+			if idx < 0 || idx >= n {
+				continue
+			}
+			throughput[idx]++
+			if !c.Degraded && c.RT <= threshold {
+				goodput[idx]++
+			}
 		}
-		throughput[idx]++
-		if !c.Degraded && c.RT <= threshold {
-			goodput[idx]++
-		}
+		i += len(r)
 	}
 	for i := range goodput {
 		goodput[i] /= perBucket
@@ -251,10 +247,14 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 // ResponseTimes returns the response times of completions in [since, until)
 // as float64 milliseconds (the unit used throughout the paper's figures).
 func (l *CompletionLog) ResponseTimes(since, until sim.Time) []float64 {
-	win := l.completions[l.lowerBound(since):l.lowerBound(until)]
-	out := make([]float64, len(win))
-	for i, c := range win {
-		out[i] = float64(c.RT) / float64(time.Millisecond)
+	lo, hi := l.completions.window(since, until)
+	out := make([]float64, 0, hi-lo)
+	for i := lo; i < hi; {
+		r := l.completions.run(i, hi)
+		for _, c := range r {
+			out = append(out, float64(c.RT)/float64(time.Millisecond))
+		}
+		i += len(r)
 	}
 	return out
 }
@@ -267,10 +267,6 @@ func (l *CompletionLog) Percentile(p float64, since, until sim.Time) (time.Durat
 		return 0, fmt.Errorf("metrics: percentile: %w", err)
 	}
 	return time.Duration(ms * float64(time.Millisecond)), nil
-}
-
-func (l *CompletionLog) lowerBound(t sim.Time) int {
-	return sort.Search(len(l.completions), func(i int) bool { return l.completions[i].At >= t })
 }
 
 // Histogram is a fixed-bin latency histogram, used to regenerate the

@@ -189,23 +189,28 @@ func (t *Trace) CriticalPath() []*Span {
 		return nil
 	}
 	var path []*Span
-	cur := t.Root
-	for cur != nil {
+	for cur := t.Root; cur != nil; cur = criticalChild(cur) {
 		path = append(path, cur)
-		var next *Span
-		var nextDur time.Duration = -1
-		for _, c := range cur.Children {
-			if c.Abandoned {
-				continue
-			}
-			if d := c.Duration(); d > nextDur {
-				next = c
-				nextDur = d
-			}
-		}
-		cur = next
 	}
 	return path
+}
+
+// criticalChild is one step of the critical-path descent: the
+// non-abandoned child of s with the largest wall-time duration, the
+// earliest-dispatched one on ties, or nil when s has none.
+func criticalChild(s *Span) *Span {
+	var next *Span
+	var nextDur time.Duration = -1
+	for _, c := range s.Children {
+		if c.Abandoned {
+			continue
+		}
+		if d := c.Duration(); d > nextDur {
+			next = c
+			nextDur = d
+		}
+	}
+	return next
 }
 
 // CriticalPathServices returns the service names along the critical path.
@@ -239,7 +244,7 @@ func (t *Trace) FindSpan(service string) *Span {
 // whether the service appears on the critical path at all.
 func (t *Trace) UpstreamProcessing(service string) (time.Duration, bool) {
 	var sum time.Duration
-	for _, s := range t.CriticalPath() {
+	for s := t.Root; s != nil; s = criticalChild(s) {
 		if s.Service == service {
 			return sum, true
 		}

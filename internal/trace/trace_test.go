@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -288,5 +290,69 @@ func TestCriticalPathSingleSpan(t *testing.T) {
 	path := tr.CriticalPath()
 	if len(path) != 1 || path[0] != tr.Root {
 		t.Fatalf("CriticalPath = %v, want just the root span", path)
+	}
+}
+
+// randomTree builds a span tree with tied child durations and abandoned
+// children, to exercise every branch of the critical-path descent.
+func randomTree(rng *rand.Rand, depth int) *Span {
+	dur := time.Duration(1+rng.Intn(4)) * time.Millisecond // few values: ties are common
+	s := &Span{
+		Service: fmt.Sprintf("svc-%d", rng.Intn(6)), // repeats: a service can recur on the path
+		Depth:   depth,
+		End:     sim.Time(dur),
+		Blocked: time.Duration(rng.Intn(2)) * time.Millisecond,
+	}
+	if depth < 5 {
+		for i := rng.Intn(4); i > 0; i-- {
+			c := randomTree(rng, depth+1)
+			c.Abandoned = rng.Intn(5) == 0
+			s.Children = append(s.Children, c)
+		}
+	}
+	return s
+}
+
+// TestUpstreamProcessingMatchesCriticalPath checks the allocation-free
+// walk against its definition: the processing-time sum of the
+// CriticalPath spans before the first one of the service.
+func TestUpstreamProcessingMatchesCriticalPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		tr := &Trace{ID: ID(i), Root: randomTree(rng, 0)}
+		path := tr.CriticalPath()
+		for svc := 0; svc < 7; svc++ {
+			name := fmt.Sprintf("svc-%d", svc)
+			var want time.Duration
+			found := false
+			for _, s := range path {
+				if s.Service == name {
+					found = true
+					break
+				}
+				want += s.ProcessingTime()
+			}
+			if !found {
+				want = 0
+			}
+			got, ok := tr.UpstreamProcessing(name)
+			if got != want || ok != found {
+				t.Fatalf("trace %d %s: UpstreamProcessing = (%v,%v), want (%v,%v)", i, name, got, ok, want, found)
+			}
+		}
+	}
+	if got, ok := (&Trace{}).UpstreamProcessing("svc-0"); got != 0 || ok {
+		t.Errorf("empty trace: (%v,%v), want (0,false)", got, ok)
+	}
+}
+
+// TestUpstreamProcessingAllocFree pins the SCG's per-trace query at zero
+// allocations: it walks the critical path without materializing it.
+func TestUpstreamProcessingAllocFree(t *testing.T) {
+	tr := chainTrace(1)
+	if avg := testing.AllocsPerRun(1000, func() {
+		tr.UpstreamProcessing("cart-db")
+	}); avg != 0 {
+		t.Errorf("UpstreamProcessing: %.2f allocs per call, want 0", avg)
 	}
 }

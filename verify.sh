@@ -24,8 +24,10 @@
 # bench suite in quick mode and the regression sentinel
 # (scripts/regress.sh -quick), which checks the deterministic
 # goodput/p99 metrics of a pinned chaos-scenario suite against the
-# checked-in BASELINE.json. The non-test Go line count (scripts/loc.sh)
-# is printed first for the record; it is informational, not a gate.
+# checked-in BASELINE.json. The nested perfbench module (the repo
+# benchmark) gets its own vet, test and soravet step. The non-test Go
+# line count (scripts/loc.sh) is printed first for the record; it is
+# informational, not a gate.
 set -eu
 cd "$(dirname "$0")"
 
@@ -51,6 +53,13 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# perfbench (the repo benchmark) is a nested module that go vet/test
+# ./... above skip; check it too, so an API change in the packages it
+# drives breaks verify.sh rather than the benchmark.
+echo "== perfbench module: go vet, go test, soravet"
+(cd perfbench && go vet ./... && go test ./...)
+go run ./cmd/soravet -C perfbench ./...
 
 echo "== go test -race (concurrent packages)"
 go test -race -short ./internal/experiment ./internal/sim ./internal/telemetry ./internal/profile ./internal/cluster ./internal/trace ./internal/fault ./internal/metrics ./internal/stats ./internal/compare ./internal/lint ./internal/node
