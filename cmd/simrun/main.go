@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"sora/internal/autoscaler"
@@ -257,28 +256,10 @@ func run() error {
 		switch *appName {
 		case "sockshop":
 			policies = topology.SockShopResilience()
-			targets = fault.Targets{
-				CrashService: topology.Cart,
-				SlowService:  topology.CartDB,
-				EdgeCaller:   topology.FrontEnd,
-				EdgeCallee:   topology.Cart,
-				ClampRef:     cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads},
-				ClampSize:    4,
-			}
+			targets = topology.SockShopFaultTargets()
 		case "socialnetwork":
 			policies = topology.SocialNetworkResilience()
-			targets = fault.Targets{
-				CrashService: topology.SocialGraph,
-				SlowService:  topology.PostStorage,
-				EdgeCaller:   topology.HomeTimeline,
-				EdgeCallee:   topology.PostStorage,
-				ClampRef: cluster.ResourceRef{
-					Service: topology.HomeTimeline,
-					Kind:    cluster.PoolClientConns,
-					Target:  topology.PostStorage,
-				},
-				ClampSize: 4,
-			}
+			targets = topology.SocialNetworkFaultTargets()
 		}
 		// Node-level plans need the simulated control plane.
 		targets.NodeFaults = *nodes > 0
@@ -499,29 +480,7 @@ func artifactPaths(telDir, id, tlFile, foldedOut, archive string) []string {
 // writeRunManifest digests the artifacts relative to the manifest's own
 // directory and writes the manifest file.
 func writeRunManifest(path, id string, seed int64, rec *telemetry.Recorder, params []compare.KV, files []string) error {
-	dir, err := filepath.Abs(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	abs := make([]string, 0, len(files))
-	for _, f := range files {
-		a, err := filepath.Abs(f)
-		if err != nil {
-			return err
-		}
-		abs = append(abs, a)
-	}
-	var counters []compare.KV
-	for _, m := range rec.CounterTotals() {
-		if strings.Contains(m.Name, "_bucket{") {
-			// Histogram buckets live in the .metrics.prom artifact (and
-			// its digest); repeating hundreds of them here would bury the
-			// closing counters the manifest exists to surface.
-			continue
-		}
-		counters = append(counters, compare.Num(m.Name, m.Value))
-	}
-	m, err := compare.BuildManifest(dir, id, "simrun", seed, params, counters, abs)
+	m, err := compare.RunManifest(filepath.Dir(path), id, "simrun", seed, params, rec, files)
 	if err != nil {
 		return err
 	}

@@ -340,36 +340,15 @@ func writeExpManifest(dir, id string, seed uint64, scale float64, rec *telemetry
 	if dir == "" || len(files) == 0 {
 		return nil
 	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return err
-	}
-	absFiles := make([]string, 0, len(files))
-	for _, f := range files {
-		a, err := filepath.Abs(f)
-		if err != nil {
-			return err
-		}
-		absFiles = append(absFiles, a)
-	}
-	var counters []compare.KV
-	for _, m := range rec.CounterTotals() {
-		if strings.Contains(m.Name, "_bucket{") {
-			// Histogram buckets live in the .metrics.prom artifact (and
-			// its digest); the manifest surfaces only the closing totals.
-			continue
-		}
-		counters = append(counters, compare.Num(m.Name, m.Value))
-	}
 	params := []compare.KV{
 		compare.Str("exp", id),
 		compare.Num("scale", scale),
 	}
-	m, err := compare.BuildManifest(abs, id, "sorabench", int64(seed), params, counters, absFiles)
+	m, err := compare.RunManifest(dir, id, "sorabench", int64(seed), params, rec, files)
 	if err != nil {
 		return err
 	}
-	_, err = compare.WriteManifest(abs, m)
+	_, err = compare.WriteManifest(dir, m)
 	return err
 }
 

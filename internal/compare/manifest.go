@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sora/internal/telemetry"
 )
 
 // ManifestSchema identifies the manifest encoding; bump on any
@@ -157,6 +159,34 @@ func BuildManifest(dir, id, tool string, seed int64, params, counters []KV, file
 		Counters:  counters,
 		Artifacts: arts,
 	}, nil
+}
+
+// RunManifest builds the manifest of a finished CLI run: the artifact
+// files are digested relative to dir (both resolved to absolute paths
+// first), and the recorder's closing counter totals become the
+// manifest's counters. Histogram buckets are left out — they live in the
+// .metrics.prom artifact and its digest, and repeating hundreds of them
+// would bury the closing counters the manifest exists to surface.
+func RunManifest(dir, id, tool string, seed int64, params []KV, rec *telemetry.Recorder, files []string) (*Manifest, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	abs := make([]string, 0, len(files))
+	for _, f := range files {
+		a, err := filepath.Abs(f)
+		if err != nil {
+			return nil, err
+		}
+		abs = append(abs, a)
+	}
+	var counters []KV
+	for _, m := range rec.CounterTotals() {
+		if !strings.Contains(m.Name, "_bucket{") {
+			counters = append(counters, Num(m.Name, m.Value))
+		}
+	}
+	return BuildManifest(dir, id, tool, seed, params, counters, abs)
 }
 
 // EncodeManifest renders the manifest as indented JSON with a trailing

@@ -159,12 +159,6 @@ func (u *UnifiedController) step() {
 		publishControllerError(u.c, now, "recommend", err)
 		return
 	}
-	svc, err := u.c.Service(u.cfg.Service)
-	if err != nil {
-		u.errs++
-		u.lastErr = err
-		return
-	}
 	p99, perr := u.c.Completions().Percentile(99, now-sim.Time(u.cfg.Period), now)
 	violating := perr == nil && p99 > u.cfg.SLO
 
@@ -210,7 +204,6 @@ func (u *UnifiedController) step() {
 	}
 	// No hardware move this period: plain soft adaptation.
 	u.softAdapt(now, rec, false)
-	_ = svc
 }
 
 // publishHardwareMove records one CPU-ladder move with the decision

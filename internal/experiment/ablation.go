@@ -58,7 +58,6 @@ func runAblationModel(p Params, w io.Writer) error {
 		duration:    8 * time.Minute,
 		sla:         sla,
 		gpThreshold: sla,
-		seed:        p.Seed,
 		initThreads: 5,
 	}
 	results, err := runCartStrategies(p, base, stratVPASora, stratConScale)
@@ -126,14 +125,11 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	ref := cluster.ResourceRef{Service: "worker", Kind: cluster.PoolThreads}
 
 	dur := p.scale(3 * time.Minute)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          buildChain(60),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
-		tel:          p.Telemetry.Group("profile"),
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p.unitParams(p.Telemetry.Group("profile")), rigConfig{
+		seed:   p.Seed,
+		app:    buildChain(60),
+		refs:   []cluster.ResourceRef{ref},
+		target: workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
 	})
 	if err != nil {
 		return err
@@ -174,13 +170,10 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	// Score both settings by end-to-end goodput against the SLA.
 	valGrp := p.Telemetry.Group("validate")
 	score := func(i, size int) (float64, error) {
-		vr, err := newRig(rigConfig{
-			seed:         p.Seed + 999,
-			app:          buildChain(size),
-			target:       workload.ConstantUsers(900),
-			tel:          valGrp.Unit(i, fmt.Sprintf("pool-%d", size)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
+		vr, err := newRig(p.unitParams(valGrp.Unit(i, fmt.Sprintf("pool-%d", size))), rigConfig{
+			seed:   p.Seed + 999,
+			app:    buildChain(size),
+			target: workload.ConstantUsers(900),
 		})
 		if err != nil {
 			return 0, err
@@ -219,15 +212,12 @@ func runAblationDegree(p Params, w io.Writer) error {
 	fc := fig9Cases()[0]
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		refs:         []cluster.ResourceRef{fc.ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p, rigConfig{
+		seed:   p.Seed,
+		app:    app,
+		mix:    mix,
+		refs:   []cluster.ResourceRef{fc.ref},
+		target: workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
 	})
 	if err != nil {
 		return err
@@ -281,14 +271,11 @@ func runAblationLocalize(p Params, w io.Writer) error {
 			mix = append(mix, cluster.WeightedRequest{Type: wr.Type, Weight: 1})
 		}
 	}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		target:       workload.ConstantUsers(900),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p, rigConfig{
+		seed:   p.Seed,
+		app:    app,
+		mix:    mix,
+		target: workload.ConstantUsers(900),
 	})
 	if err != nil {
 		return err

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/fault"
 	"sora/internal/sim"
@@ -44,17 +42,24 @@ const (
 	chaosSora
 )
 
+// chaosStrategySpecs is the chaos strategy table: each strategy's
+// output name, whether the scenario's hardware autoscaler runs, and the
+// concurrency model on top of it.
+var chaosStrategySpecs = [...]struct {
+	name      string
+	autoscale bool
+	model     modelKind
+}{
+	chaosStatic: {"static", false, modelNone},
+	chaosAuto:   {"autoscaler", true, modelNone},
+	chaosSora:   {"Sora", true, modelSCG},
+}
+
 func (s chaosStrategy) String() string {
-	switch s {
-	case chaosStatic:
-		return "static"
-	case chaosAuto:
-		return "autoscaler"
-	case chaosSora:
-		return "Sora"
-	default:
+	if s < chaosStatic || int(s) >= len(chaosStrategySpecs) {
 		return fmt.Sprintf("chaosStrategy(%d)", int(s))
 	}
+	return chaosStrategySpecs[s].name
 }
 
 // chaosPhase labels one reporting interval around a fault window.
@@ -68,36 +73,29 @@ const (
 
 // chaosWindowRow is one (fault window, phase) measurement.
 type chaosWindowRow struct {
+	runSummary
 	fault, target string
 	phase         chaosPhase
 	from, to      sim.Time
-	p99           time.Duration
-	goodput       float64 // req/s within SLA
-	goodFrac      float64 // fractions of completions in the interval
-	degradedFrac  float64
-	violatedFrac  float64
 }
 
-// chaosResult carries one run's windows and whole-run counters.
+// chaosResult carries one run's windows, its summary past warmup and
+// whole-run counters.
 type chaosResult struct {
-	app      string
+	runSummary
+	app      string // app, or control-plane profile
 	strategy chaosStrategy
 	rows     []chaosWindowRow
 
-	p99          time.Duration
-	goodput      float64
-	goodFrac     float64 // whole-run outcome fractions past warmup
-	degradedFrac float64
-	violatedFrac float64
-	completed    uint64
-	failed       uint64
-	dropped      uint64
-	refused      uint64
-	lost         uint64
-	timedOut     uint64
-	retries      uint64
-	rejected     uint64
-	degraded     uint64
+	completed uint64
+	failed    uint64
+	dropped   uint64
+	refused   uint64
+	lost      uint64
+	timedOut  uint64
+	retries   uint64
+	rejected  uint64
+	degraded  uint64
 }
 
 // chaosApps lists the benchmark scenarios in run order.
@@ -119,134 +117,64 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 			telemetry.Float("dur_s", dur.Seconds()),
 		)
 	}
-	var (
-		r        *rig
-		targets  fault.Targets
-		policies []topology.EdgePolicy
-		hw       core.HardwareScaler
-		managed  []core.ManagedResource
-		err      error
-	)
-
+	sc := chaosScenario{plan: planName, warm: sim.Time(10 * time.Second)}
+	var policies []topology.EdgePolicy
+	var err error
 	switch appName {
 	case "sockshop":
-		// The Cart scenario of Figures 10-11: 2-core Cart with the
-		// pre-profiled ~10-thread pool, closed-loop cart-only load.
-		cfg := topology.DefaultSockShop()
-		cfg.CartCores = 2
-		cfg.CartThreads = 10
-		app := topology.SockShop(cfg)
-		ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-		r, err = newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.CartOnlyMix(app),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.ConstantUsers(900),
-			tel:          p.Telemetry,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policies = topology.SockShopResilience()
-		targets = fault.Targets{
-			CrashService: topology.Cart,
-			SlowService:  topology.CartDB,
-			EdgeCaller:   topology.FrontEnd,
-			EdgeCallee:   topology.Cart,
-			ClampRef:     ref,
-			ClampSize:    4,
-		}
-		if strat != chaosStatic {
-			firm, ferr := autoscaler.NewFIRM(r.c, autoscaler.FIRMConfig{
-				Service: topology.Cart,
-				SLO:     goodputRTT,
-				Ladder:  []float64{2, 4},
-			})
-			if ferr != nil {
-				return nil, ferr
-			}
-			hw = firm
-		}
-		managed = []core.ManagedResource{{Ref: ref, Min: 2, Max: 200}}
-
+		// The Cart scenario of Figures 10-11 with the pre-profiled
+		// ~10-thread pool.
+		sc.r, sc.managed, err = newCartRig(p, 10, workload.ConstantUsers(900))
+		sc.autoscaler = func(r *rig) (core.HardwareScaler, error) { return cartFIRM(r, goodputRTT) }
+		policies, sc.targets = topology.SockShopResilience(), topology.SockShopFaultTargets()
 	case "socialnet":
-		// The Figure-12 read path: Home Timeline fanning out to Post
-		// Storage over a statically sized connection pool.
+		// The Figure-12 read path with its static 15-connection pool.
 		cfg := topology.DefaultSocialNetwork()
 		cfg.PostStorageConns = 15
 		cfg.PostStorageCores = 2
-		app := topology.SocialNetwork(cfg)
-		ref := cluster.ResourceRef{
-			Service: topology.HomeTimeline,
-			Kind:    cluster.PoolClientConns,
-			Target:  topology.PostStorage,
-		}
-		r, err = newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.HomeTimelineOnlyMix(false),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.ConstantUsers(1500),
-			tel:          p.Telemetry,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policies = topology.SocialNetworkResilience()
-		targets = fault.Targets{
-			CrashService: topology.SocialGraph, // optional edge: degrades, not fails
-			SlowService:  topology.PostStorage,
-			EdgeCaller:   topology.HomeTimeline,
-			EdgeCallee:   topology.PostStorage,
-			ClampRef:     ref,
-			ClampSize:    4,
-		}
-		if strat != chaosStatic {
-			hpa, herr := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-				Service:     topology.PostStorage,
-				MaxReplicas: 6,
-			})
-			if herr != nil {
-				return nil, herr
-			}
-			hw = hpa
-		}
-		managed = []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}}
-
+		sc.r, sc.managed, err = newReadPathRig(p, cfg, workload.ConstantUsers(1500), nil)
+		sc.autoscaler = readPathHPA
+		policies, sc.targets = topology.SocialNetworkResilience(), topology.SocialNetworkFaultTargets()
 	default:
 		return nil, fmt.Errorf("chaos: unknown app %q", appName)
 	}
-
-	if err := topology.ApplyResilience(r.c, policies); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	if err := topology.ApplyResilience(sc.r.c, policies); err != nil {
+		return nil, err
+	}
+	return sc.run(appName, strat, dur)
+}
 
-	switch strat {
-	case chaosStatic:
-		// Nothing to drive.
-	case chaosAuto:
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
-	case chaosSora:
-		scg, serr := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-		if serr != nil {
-			return nil, serr
-		}
-		if err := r.attachController(core.ControllerConfig{
-			Model:   scg,
-			Scaler:  hw,
-			Managed: managed,
-			Warmup:  30 * time.Second,
-		}); err != nil {
+// chaosScenario is one built chaos scenario awaiting its strategy: the
+// rig, the hardware autoscaler the strategies run, the pool Sora
+// adapts, the named fault plan with its targets, and the warmup the
+// whole-run summary skips.
+type chaosScenario struct {
+	r          *rig
+	autoscaler func(*rig) (core.HardwareScaler, error)
+	managed    core.ManagedResource
+	plan       string
+	targets    fault.Targets
+	warm       sim.Time
+}
+
+// run wires the strategy, runs the scenario under the fault plan and
+// collects the result under the given run name.
+func (sc chaosScenario) run(name string, strat chaosStrategy, dur time.Duration) (*chaosResult, error) {
+	r, spec := sc.r, chaosStrategySpecs[strat]
+	var hw core.HardwareScaler
+	if spec.autoscale {
+		var err error
+		if hw, err = sc.autoscaler(r); err != nil {
 			return nil, err
 		}
 	}
-
-	plan, err := fault.NamedPlan(planName, targets, dur)
+	if err := r.manage(hw, spec.model, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second}, sc.managed, 30*time.Second); err != nil {
+		return nil, err
+	}
+	plan, err := fault.NamedPlan(sc.plan, sc.targets, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -257,30 +185,20 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 	eng.Start()
 	r.run(dur)
 
-	warm := sim.Time(10 * time.Second)
 	end := sim.Time(dur)
 	res := &chaosResult{
-		app:       appName,
-		strategy:  strat,
-		goodput:   r.c.Completions().GoodputRate(warm, end, goodputRTT),
-		completed: r.c.Completed(),
-		failed:    r.c.Failed(),
-		dropped:   r.c.Dropped(),
-		refused:   r.c.Refused(),
-		lost:      r.c.LostCalls(),
-		timedOut:  r.c.TimedOut(),
-		retries:   r.c.Retries(),
-		rejected:  r.c.BreakerRejections(),
-		degraded:  r.c.Degraded(),
-	}
-	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
-		res.p99 = p99
-	}
-	if good, degraded, violated := r.c.Completions().CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
-		total := float64(good + degraded + violated)
-		res.goodFrac = float64(good) / total
-		res.degradedFrac = float64(degraded) / total
-		res.violatedFrac = float64(violated) / total
+		runSummary: r.summarize(sc.warm, end, goodputRTT),
+		app:        name,
+		strategy:   strat,
+		completed:  r.c.Completed(),
+		failed:     r.c.Failed(),
+		dropped:    r.c.Dropped(),
+		refused:    r.c.Refused(),
+		lost:       r.c.LostCalls(),
+		timedOut:   r.c.TimedOut(),
+		retries:    r.c.Retries(),
+		rejected:   r.c.BreakerRejections(),
+		degraded:   r.c.Degraded(),
 	}
 	for _, win := range eng.Windows() {
 		res.rows = append(res.rows, chaosWindows(r, win, end)...)
@@ -311,21 +229,12 @@ func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
 			continue
 		}
 		row := chaosWindowRow{
-			fault:   win.Fault.Kind.String(),
-			target:  win.Target,
-			phase:   iv.phase,
-			from:    iv.from,
-			to:      iv.to,
-			goodput: r.c.Completions().GoodputRate(iv.from, iv.to, goodputRTT),
-		}
-		if p99, err := r.c.Completions().Percentile(99, iv.from, iv.to); err == nil {
-			row.p99 = p99
-		}
-		good, degraded, violated := r.c.Completions().CountsByOutcome(iv.from, iv.to, goodputRTT)
-		if total := good + degraded + violated; total > 0 {
-			row.goodFrac = float64(good) / float64(total)
-			row.degradedFrac = float64(degraded) / float64(total)
-			row.violatedFrac = float64(violated) / float64(total)
+			runSummary: r.summarize(iv.from, iv.to, goodputRTT),
+			fault:      win.Fault.Kind.String(),
+			target:     win.Target,
+			phase:      iv.phase,
+			from:       iv.from,
+			to:         iv.to,
 		}
 		rows = append(rows, row)
 	}
@@ -338,44 +247,63 @@ func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
 // experiment (plan "combo") and the sorabench/simrun -chaos flags.
 func RunChaos(p Params, w io.Writer, planName string) error {
 	dur := p.scale(3 * time.Minute)
-	strategies := []chaosStrategy{chaosStatic, chaosAuto, chaosSora}
-	type unit struct {
-		app   string
-		strat chaosStrategy
-	}
-	var units []unit
-	for _, app := range chaosApps {
-		for _, s := range strategies {
-			units = append(units, unit{app, s})
-		}
-	}
-
-	grp := p.Telemetry.Group("runs")
-	results, err := parMap(p, len(units), func(i int) (*chaosResult, error) {
-		u := units[i]
-		label := u.app + "_" + sanitize(u.strat.String())
-		res, rerr := runChaosUnit(p.unitParams(grp.Unit(i, label)), u.app, u.strat, planName, dur)
-		if rerr != nil {
-			return nil, fmt.Errorf("chaos %s/%v: %w", u.app, u.strat, rerr)
-		}
-		return res, nil
+	results, err := runChaosGrid(p, "chaos", chaosApps, func(p Params, app int, strat chaosStrategy) (*chaosResult, error) {
+		return runChaosUnit(p, chaosApps[app], strat, planName, dur)
 	})
 	if err != nil {
 		return err
 	}
-
 	fmt.Fprintf(w, "fault plan %q over %v, goodput SLA %v\n", planName, dur, goodputRTT)
+	return chaosReport{
+		faultWidth:  12,
+		targetWidth: 24,
+		nameColumn:  "app",
+		csvName:     "chaos_" + sanitize(planName),
+		note: "(during a fault window Sora should hold the highest good fraction: the\n" +
+			" resilience layer converts outages into degraded or fast-failed requests\n" +
+			" and SCG re-tunes the bottleneck pool once the fault clears)\n",
+	}.write(p, w, results)
+}
+
+// runChaosGrid runs one unit per (name, strategy) pair — static,
+// autoscaler, Sora for each name — on the worker pool, each under its
+// own "<name>_<strategy>" telemetry unit. Results are in grid order.
+func runChaosGrid(p Params, tool string, names []string, unit func(p Params, name int, strat chaosStrategy) (*chaosResult, error)) ([]*chaosResult, error) {
+	strategies := []chaosStrategy{chaosStatic, chaosAuto, chaosSora}
+	grp := p.Telemetry.Group("runs")
+	return parMap(p, len(names)*len(strategies), func(i int) (*chaosResult, error) {
+		name, strat := names[i/len(strategies)], strategies[i%len(strategies)]
+		res, err := unit(p.unitParams(grp.Unit(i, name+"_"+sanitize(strat.String()))), i/len(strategies), strat)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s/%v: %w", tool, name, strat, err)
+		}
+		return res, nil
+	})
+}
+
+// chaosReport lays out the per-run window tables of a chaos-style
+// experiment and their CSV.
+type chaosReport struct {
+	runSuffix               string // follows the run name in each heading
+	faultWidth, targetWidth int    // table column widths
+	nameColumn, csvName     string // the CSV's run-name header and file name
+	note                    string // printed after the tables
+}
+
+// write prints every run's counters and window rows, then the note, and
+// writes all rows as one CSV.
+func (rep chaosReport) write(p Params, w io.Writer, results []*chaosResult) error {
 	var csv [][]string
 	for _, res := range results {
-		fmt.Fprintf(w, "\n=== %s / %s — p99 %.0f ms, goodput %.0f req/s, completed %d, failed %d, degraded %d\n",
-			res.app, res.strategy, res.p99.Seconds()*1000, res.goodput, res.completed, res.failed, res.degraded)
+		fmt.Fprintf(w, "\n=== %s%s / %s — p99 %.0f ms, goodput %.0f req/s, completed %d, failed %d, degraded %d\n",
+			res.app, rep.runSuffix, res.strategy, res.p99.Seconds()*1000, res.goodput, res.completed, res.failed, res.degraded)
 		fmt.Fprintf(w, "    refused %d, lost %d, timed out %d, retries %d, breaker-rejected %d, dropped %d\n",
 			res.refused, res.lost, res.timedOut, res.retries, res.rejected, res.dropped)
-		fmt.Fprintf(w, "%-12s %-24s %-8s %10s %10s %8s %8s %8s %8s\n",
-			"fault", "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
+		fmt.Fprintf(w, "%-*s %-*s %-8s %10s %10s %8s %8s %8s %8s\n",
+			rep.faultWidth, "fault", rep.targetWidth, "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
 		for _, row := range res.rows {
-			fmt.Fprintf(w, "%-12s %-24s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
-				row.fault, row.target, row.phase,
+			fmt.Fprintf(w, "%-*s %-*s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
+				rep.faultWidth, row.fault, rep.targetWidth, row.target, row.phase,
 				row.from.Seconds(), row.to.Seconds(),
 				row.p99.Seconds()*1000, row.goodput,
 				row.goodFrac*100, row.degradedFrac*100, row.violatedFrac*100)
@@ -391,11 +319,8 @@ func RunChaos(p Params, w io.Writer, planName string) error {
 			})
 		}
 	}
-	fmt.Fprintf(w, "\n(during a fault window Sora should hold the highest good fraction: the\n")
-	fmt.Fprintf(w, " resilience layer converts outages into degraded or fast-failed requests\n")
-	fmt.Fprintf(w, " and SCG re-tunes the bottleneck pool once the fault clears)\n")
-
-	return writeCSVStrings(p, "chaos_"+sanitize(planName),
-		[]string{"app", "strategy", "fault", "target", "phase",
+	fmt.Fprint(w, "\n"+rep.note)
+	return writeCSVStrings(p, rep.csvName,
+		[]string{rep.nameColumn, "strategy", "fault", "target", "phase",
 			"from_s", "to_s", "p99_ms", "goodput_rps", "good_frac", "degraded_frac", "violated_frac"}, csv)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/sim"
 	"sora/internal/topology"
@@ -30,20 +29,26 @@ const (
 	stratVPASora
 )
 
+// strategySpecs is the strategy table: each strategy's output name, the
+// hardware scaler on Cart (VPA, or else FIRM) and the concurrency model
+// on top of it.
+var strategySpecs = [...]struct {
+	name  string
+	vpa   bool
+	model modelKind
+}{
+	stratFIRM:     {"FIRM", false, modelNone},
+	stratFIRMSora: {"Sora(FIRM)", false, modelSCG},
+	stratConScale: {"ConScale", true, modelSCT},
+	stratVPASora:  {"Sora(VPA)", true, modelSCG},
+}
+
 // String names the strategy for output.
 func (s strategy) String() string {
-	switch s {
-	case stratFIRM:
-		return "FIRM"
-	case stratFIRMSora:
-		return "Sora(FIRM)"
-	case stratConScale:
-		return "ConScale"
-	case stratVPASora:
-		return "Sora(VPA)"
-	default:
+	if s < stratFIRM || int(s) >= len(strategySpecs) {
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
+	return strategySpecs[s].name
 }
 
 // cartRunConfig parameterizes one trace-driven Cart run.
@@ -53,7 +58,6 @@ type cartRunConfig struct {
 	peakUsers int
 	duration  time.Duration
 	sla       time.Duration // end-to-end SLO driving FIRM and SCG
-	seed      uint64
 	// initThreads is the starting Cart thread pool (the paper
 	// pre-profiles the 2-core optimum before each run; ours is ~10).
 	initThreads int
@@ -63,14 +67,13 @@ type cartRunConfig struct {
 	gpThreshold time.Duration
 }
 
-// cartRunResult carries everything the comparative tables/figures need.
+// cartRunResult carries everything the comparative tables/figures need:
+// the summary past warmup (goodput against the run's gpThreshold).
 type cartRunResult struct {
-	timeline *timeline
-	events   []core.AdaptationEvent
-
-	p95, p99 time.Duration
-	goodput  float64 // against the 400ms RTT of Table 2
-	thru     float64
+	runSummary
+	timeline  *timeline
+	events    []core.AdaptationEvent
+	hwChanges int
 }
 
 // goodputRTT is the end-to-end goodput threshold of Table 2/Figures
@@ -85,156 +88,55 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 	if rc.gpThreshold <= 0 {
 		rc.gpThreshold = goodputRTT
 	}
-	cfg := topology.DefaultSockShop()
-	cfg.CartCores = 2
-	cfg.CartThreads = rc.initThreads
-	app := topology.SockShop(cfg)
-	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-
-	r, err := newRig(rigConfig{
-		seed:         rc.seed,
-		app:          app,
-		mix:          topology.CartOnlyMix(app),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(rc.trace, dur, rc.peakUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, managed, err := newCartRig(p, rc.initThreads, workload.TraceUsers(rc.trace, dur, rc.peakUsers))
 	if err != nil {
 		return nil, err
 	}
-
-	// Hardware scaler per strategy.
+	spec := strategySpecs[rc.strategy]
 	var hw core.HardwareScaler
-	switch rc.strategy {
-	case stratFIRM, stratFIRMSora:
-		firm, err := autoscaler.NewFIRM(r.c, autoscaler.FIRMConfig{
-			Service: topology.Cart,
-			SLO:     rc.sla,
-			Ladder:  []float64{2, 4},
-		})
-		if err != nil {
-			return nil, err
-		}
-		hw = firm
-	case stratConScale, stratVPASora:
-		vpa, err := autoscaler.NewVPA(r.c, autoscaler.VPAConfig{
+	if spec.vpa {
+		hw, err = autoscaler.NewVPA(r.c, autoscaler.VPAConfig{
 			Service:  topology.Cart,
 			MinCores: 2,
 			MaxCores: 6,
 		})
-		if err != nil {
-			return nil, err
-		}
-		hw = vpa
+	} else {
+		hw, err = cartFIRM(r, rc.sla)
 	}
-
-	// Concurrency model per strategy (nil = hardware-only).
-	managed := []core.ManagedResource{{Ref: ref, Min: 2, Max: 200}}
-	var model core.Model
-	modelCfg := core.SCGConfig{SLA: rc.sla, Window: 60 * time.Second}
-	switch rc.strategy {
-	case stratFIRMSora, stratVPASora:
-		scg, err := core.NewSCG(r.c, r.mon, modelCfg)
-		if err != nil {
-			return nil, err
-		}
-		model = scg
-	case stratConScale:
-		sct, err := core.NewSCT(r.c, r.mon, modelCfg)
-		if err != nil {
-			return nil, err
-		}
-		model = sct
+	if err != nil {
+		return nil, err
 	}
-
-	if model != nil {
-		if err := r.attachController(core.ControllerConfig{
-			Model:   model,
-			Scaler:  hw,
-			Managed: managed,
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-	} else if hw != nil {
-		// Hardware-only: drive the scaler on its own control loop.
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
+	if err := r.manage(hw, spec.model, core.SCGConfig{SLA: rc.sla, Window: 60 * time.Second}, managed, 30*time.Second); err != nil {
+		return nil, err
 	}
 
 	// Timeline: response time (mean per tick), goodput, CPU util and
 	// limit, running threads — the four panes of Figures 10-11.
 	if rc.timelineInt > 0 {
-		tl := newTimeline(rc.timelineInt)
-		ws := newWindowStat(r.k)
-		cartSvc, err := r.c.Service(topology.Cart)
+		cart, err := r.c.Service(topology.Cart)
 		if err != nil {
 			return nil, err
 		}
-		var lastBusy float64
-		var lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("goodput_rps", func() float64 {
-			now := r.k.Now()
-			return r.c.Completions().GoodputRate(now-sim.Time(rc.timelineInt), now, rc.gpThreshold)
-		})
-		tl.column("cart_cpu_util_pct", func() float64 {
-			busy := cartSvc.CumulativeBusy()
-			capacity := cartSvc.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			// Percent of one core, like the paper's "Pod CPU Util [%]".
-			return db / dc * cartSvc.TotalCores() * 100
-		})
-		tl.column("cart_cpu_limit_pct", func() float64 { return cartSvc.TotalCores() * 100 })
-		tl.column("threads_limit", func() float64 {
-			size, err := r.c.PoolSize(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(size)
-		})
-		tl.column("threads_running", func() float64 {
-			n, err := r.c.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
+		tl := newTimeline(rc.timelineInt)
+		tl.column("rt_ms", r.meanRTColumn())
+		tl.column("goodput_rps", r.goodputColumn(rc.timelineInt, rc.gpThreshold))
+		tl.column("cart_cpu_util_pct", cpuUtilColumn(cart))
+		tl.column("cart_cpu_limit_pct", func() float64 { return cart.TotalCores() * 100 })
+		tl.column("threads_limit", r.poolSizeColumn(managed.Ref))
+		tl.column("threads_running", r.poolInUseColumn(managed.Ref))
 		r.timeline = tl
 	}
 
 	r.run(dur)
 
-	warm := sim.Time(10 * time.Second)
-	end := sim.Time(dur)
-	res := &cartRunResult{timeline: r.timeline}
+	res := &cartRunResult{
+		runSummary: r.summarize(sim.Time(10*time.Second), sim.Time(dur), rc.gpThreshold),
+		timeline:   r.timeline,
+	}
 	if r.ctl != nil {
 		res.events = r.ctl.Events()
+		res.hwChanges = r.ctl.HardwareChanges()
 	}
-	if p95, err := r.c.Completions().Percentile(95, warm, end); err == nil {
-		res.p95 = p95
-	}
-	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
-		res.p99 = p99
-	}
-	res.goodput = r.c.Completions().GoodputRate(warm, end, rc.gpThreshold)
-	res.thru = r.c.Completions().ThroughputRate(warm, end)
 	return res, nil
 }
 

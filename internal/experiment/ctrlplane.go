@@ -6,9 +6,7 @@ import (
 	"math"
 	"time"
 
-	"sora/internal/autoscaler"
 	"sora/internal/cluster"
-	"sora/internal/core"
 	"sora/internal/fault"
 	"sora/internal/node"
 	"sora/internal/sim"
@@ -50,10 +48,6 @@ var ctrlPlaneProfiles = []cpProfile{
 	{name: "slow", coldStart: 15 * time.Second, lag: 5 * time.Second},
 }
 
-// ctrlPlaneMaxReplicas bounds the HPA on Post Storage, matching the
-// chaos experiment's socialnet unit.
-const ctrlPlaneMaxReplicas = 6
-
 // ctrlPlaneFleet sizes the node fleet for an app: enough capacity that
 // the deployment plus full HPA headroom survives one node loss, spread
 // over four nodes. Pure arithmetic over the spec, so the fleet tracks
@@ -63,7 +57,7 @@ func ctrlPlaneFleet(app cluster.App, prof cpProfile) *node.Config {
 	for _, s := range app.Services {
 		total += float64(s.Replicas) * s.Cores
 	}
-	headroom := float64(ctrlPlaneMaxReplicas-1) * 2 // HPA surge on the 2-core Post Storage
+	headroom := float64(readPathMaxReplicas-1) * 2 // HPA surge on the 2-core Post Storage
 	const nodes = 4
 	cores := math.Ceil((total + headroom) / (nodes - 1))
 	sched, pull, warm := node.SplitColdStart(prof.coldStart)
@@ -105,107 +99,24 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 	cfg.PostStorageConns = 4
 	cfg.PostStorageCores = 2
 	cfg.PostStorageReplicas = 2
-	app := topology.SocialNetwork(cfg)
-	ref := cluster.ResourceRef{
-		Service: topology.HomeTimeline,
-		Kind:    cluster.PoolClientConns,
-		Target:  topology.PostStorage,
-	}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          topology.HomeTimelineOnlyMix(false),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.ConstantUsers(1500),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-		ctrl:         ctrlPlaneFleet(app, prof),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := topology.ApplyResilience(r.c, topology.SocialNetworkResilience()); err != nil {
-		return nil, err
-	}
-
-	var hw core.HardwareScaler
-	if strat != chaosStatic {
-		hpa, herr := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-			Service:     topology.PostStorage,
-			MaxReplicas: ctrlPlaneMaxReplicas,
-		})
-		if herr != nil {
-			return nil, herr
-		}
-		hw = hpa
-	}
-	switch strat {
-	case chaosStatic:
-		// Nothing to drive.
-	case chaosAuto:
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
-	case chaosSora:
-		scg, serr := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-		if serr != nil {
-			return nil, serr
-		}
-		if err := r.attachController(core.ControllerConfig{
-			Model:   scg,
-			Scaler:  hw,
-			Managed: []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}},
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	// The crash hidden inside the stall window hits Post Storage itself:
 	// with propagation frozen, the balancers keep routing to the corpse
 	// and the resilience layer has to absorb the refusals.
-	plan, err := fault.NamedPlan("nodechaos", fault.Targets{
-		CrashService: topology.PostStorage,
-		NodeFaults:   true,
-	}, dur)
+	sc := chaosScenario{
+		autoscaler: readPathHPA,
+		plan:       "nodechaos",
+		targets:    fault.Targets{CrashService: topology.PostStorage, NodeFaults: true},
+		warm:       sim.Time(prof.coldStart + prof.lag + 10*time.Second),
+	}
+	var err error
+	sc.r, sc.managed, err = newReadPathRig(p, cfg, workload.ConstantUsers(1500), ctrlPlaneFleet(topology.SocialNetwork(cfg), prof))
 	if err != nil {
 		return nil, err
 	}
-	eng, err := fault.New(r.c, plan)
-	if err != nil {
+	if err := topology.ApplyResilience(sc.r.c, topology.SocialNetworkResilience()); err != nil {
 		return nil, err
 	}
-	eng.Start()
-	r.run(dur)
-
-	warm := sim.Time(prof.coldStart + prof.lag + 10*time.Second)
-	end := sim.Time(dur)
-	res := &chaosResult{
-		app:       prof.name,
-		strategy:  strat,
-		goodput:   r.c.Completions().GoodputRate(warm, end, goodputRTT),
-		completed: r.c.Completed(),
-		failed:    r.c.Failed(),
-		dropped:   r.c.Dropped(),
-		refused:   r.c.Refused(),
-		lost:      r.c.LostCalls(),
-		timedOut:  r.c.TimedOut(),
-		retries:   r.c.Retries(),
-		rejected:  r.c.BreakerRejections(),
-		degraded:  r.c.Degraded(),
-	}
-	if p99, err := r.c.Completions().Percentile(99, warm, end); err == nil {
-		res.p99 = p99
-	}
-	if good, degraded, violated := r.c.Completions().CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
-		total := float64(good + degraded + violated)
-		res.goodFrac = float64(good) / total
-		res.degradedFrac = float64(degraded) / total
-		res.violatedFrac = float64(violated) / total
-	}
-	for _, win := range eng.Windows() {
-		res.rows = append(res.rows, chaosWindows(r, win, end)...)
-	}
-	return res, nil
+	return sc.run(prof.name, strat, dur)
 }
 
 // RunCtrlPlane sweeps both control-plane profiles across all three
@@ -213,27 +124,12 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 // per-window comparison.
 func RunCtrlPlane(p Params, w io.Writer) error {
 	dur := p.scale(4 * time.Minute)
-	strategies := []chaosStrategy{chaosStatic, chaosAuto, chaosSora}
-	type unit struct {
-		prof  cpProfile
-		strat chaosStrategy
+	names := make([]string, len(ctrlPlaneProfiles))
+	for i, prof := range ctrlPlaneProfiles {
+		names[i] = prof.name
 	}
-	var units []unit
-	for _, prof := range ctrlPlaneProfiles {
-		for _, s := range strategies {
-			units = append(units, unit{prof, s})
-		}
-	}
-
-	grp := p.Telemetry.Group("runs")
-	results, err := parMap(p, len(units), func(i int) (*chaosResult, error) {
-		u := units[i]
-		label := u.prof.name + "_" + sanitize(u.strat.String())
-		res, rerr := runCtrlPlaneUnit(p.unitParams(grp.Unit(i, label)), u.prof, u.strat, dur)
-		if rerr != nil {
-			return nil, fmt.Errorf("ctrlplane %s/%v: %w", u.prof.name, u.strat, rerr)
-		}
-		return res, nil
+	results, err := runChaosGrid(p, "ctrlplane", names, func(p Params, prof int, strat chaosStrategy) (*chaosResult, error) {
+		return runCtrlPlaneUnit(p, ctrlPlaneProfiles[prof], strat, dur)
 	})
 	if err != nil {
 		return err
@@ -243,37 +139,14 @@ func RunCtrlPlane(p Params, w io.Writer) error {
 	for _, prof := range ctrlPlaneProfiles {
 		fmt.Fprintf(w, "  %-4s control plane: cold start %v, endpoint lag %v\n", prof.name, prof.coldStart, prof.lag)
 	}
-	var csv [][]string
-	for _, res := range results {
-		fmt.Fprintf(w, "\n=== %s plane / %s — p99 %.0f ms, goodput %.0f req/s, completed %d, failed %d, degraded %d\n",
-			res.app, res.strategy, res.p99.Seconds()*1000, res.goodput, res.completed, res.failed, res.degraded)
-		fmt.Fprintf(w, "    refused %d, lost %d, timed out %d, retries %d, breaker-rejected %d, dropped %d\n",
-			res.refused, res.lost, res.timedOut, res.retries, res.rejected, res.dropped)
-		fmt.Fprintf(w, "%-15s %-12s %-8s %10s %10s %8s %8s %8s %8s\n",
-			"fault", "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
-		for _, row := range res.rows {
-			fmt.Fprintf(w, "%-15s %-12s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
-				row.fault, row.target, row.phase,
-				row.from.Seconds(), row.to.Seconds(),
-				row.p99.Seconds()*1000, row.goodput,
-				row.goodFrac*100, row.degradedFrac*100, row.violatedFrac*100)
-			csv = append(csv, []string{
-				res.app, sanitize(res.strategy.String()), row.fault, sanitize(row.target), string(row.phase),
-				fmt.Sprintf("%g", row.from.Seconds()),
-				fmt.Sprintf("%g", row.to.Seconds()),
-				fmt.Sprintf("%g", row.p99.Seconds()*1000),
-				fmt.Sprintf("%g", row.goodput),
-				fmt.Sprintf("%.4f", row.goodFrac),
-				fmt.Sprintf("%.4f", row.degradedFrac),
-				fmt.Sprintf("%.4f", row.violatedFrac),
-			})
-		}
-	}
-	fmt.Fprintf(w, "\n(every replica the autoscaler adds pays the full cold start plus the\n")
-	fmt.Fprintf(w, " endpoint lag before it serves; Sora's pool retuning is an immediate\n")
-	fmt.Fprintf(w, " soft-resource write, so its margin should widen on the slow plane)\n")
-
-	return writeCSVStrings(p, "ctrlplane",
-		[]string{"profile", "strategy", "fault", "target", "phase",
-			"from_s", "to_s", "p99_ms", "goodput_rps", "good_frac", "degraded_frac", "violated_frac"}, csv)
+	return chaosReport{
+		runSuffix:   " plane",
+		faultWidth:  15,
+		targetWidth: 12,
+		nameColumn:  "profile",
+		csvName:     "ctrlplane",
+		note: "(every replica the autoscaler adds pays the full cold start plus the\n" +
+			" endpoint lag before it serves; Sora's pool retuning is an immediate\n" +
+			" soft-resource write, so its margin should widen on the slow plane)\n",
+	}.write(p, w, results)
 }

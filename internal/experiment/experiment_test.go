@@ -1,13 +1,18 @@
 package experiment
 
 import (
-	"io"
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"sora/internal/compare"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/smoke.digests with the current output")
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -63,23 +68,66 @@ func TestParamsScale(t *testing.T) {
 
 // TestExperimentsSmoke executes every registered experiment at the
 // minimum duration scale. This is an integration test of the entire
-// stack (kernel, cluster, models, autoscalers, harness); results at this
-// scale are noisy and not asserted — only successful completion is.
+// stack (kernel, cluster, models, autoscalers, harness). Results at this
+// scale are noisy, so no figure is asserted; instead every run's stdout
+// (ASCII charts included) and every CSV it writes are fingerprinted and
+// compared with testdata/smoke.digests, so a refactor that changes any
+// output byte fails here. Regenerate with `go test -run
+// TestExperimentsSmoke -update` after an intended output change.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs take ~1-2 minutes; skipped in -short")
 	}
+	var got []string
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			// Parallelism 4 exercises the worker-pool paths in every
 			// driver; output equivalence with serial mode is asserted
 			// separately in TestExperimentOutputEquivalence.
-			p := Params{Seed: 1, DurationScale: 0.001, Quiet: true, Parallelism: 4}
-			if err := e.Run(p, io.Discard); err != nil {
+			dir := t.TempDir()
+			p := Params{Seed: 1, DurationScale: 0.001, Parallelism: 4, OutDir: dir}
+			var out bytes.Buffer
+			if err := e.Run(p, &out); err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
+			got = append(got, e.ID+" stdout "+compare.DigestBytes(out.Bytes()))
+			csvs, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range csvs { // Glob sorts by name
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, e.ID+" "+filepath.Base(path)+" "+compare.DigestBytes(data))
+			}
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	golden := filepath.Join("testdata", "smoke.digests")
+	text := strings.Join(got, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(golden, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Errorf("%d digests, want %d", len(got), len(wantLines))
+	}
+	for i := 0; i < len(got) && i < len(wantLines); i++ {
+		if got[i] != wantLines[i] {
+			t.Errorf("digest mismatch:\n got %s\nwant %s", got[i], wantLines[i])
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/sim"
-	"sora/internal/telemetry"
 	"sora/internal/topology"
 )
 
@@ -32,14 +31,13 @@ func runFig1(p Params, w io.Writer) error {
 	stepAt := dur / 4
 
 	type outcome struct {
+		runSummary
 		label    string
 		tl       *timeline
-		p99      time.Duration
-		goodput  float64
 		events   []core.AdaptationEvent
 		replicas float64
 	}
-	run := func(withSora bool, tel *telemetry.Recorder) (*outcome, error) {
+	run := func(p Params, model modelKind) (*outcome, error) {
 		cfg := topology.DefaultSockShop()
 		cfg.CatalogueConns = 30 // liberal static pool: fine at 1 replica, excessive at 3
 		app := topology.SockShop(cfg)
@@ -59,15 +57,12 @@ func runFig1(p Params, w io.Writer) error {
 			}
 			return 2400
 		}
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.BrowseOnlyMix(app),
-			refs:         []cluster.ResourceRef{ref},
-			target:       target,
-			tel:          tel,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
+		r, err := newRig(p, rigConfig{
+			seed:   p.Seed,
+			app:    app,
+			mix:    topology.BrowseOnlyMix(app),
+			refs:   []cluster.ResourceRef{ref},
+			target: target,
 		})
 		if err != nil {
 			return nil, err
@@ -79,21 +74,9 @@ func runFig1(p Params, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		if withSora {
-			scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 30 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.attachController(core.ControllerConfig{
-				Model:   scg,
-				Scaler:  hpa,
-				Managed: []core.ManagedResource{{Ref: ref, Min: 2, Max: 100}},
-				Warmup:  20 * time.Second,
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			r.every(core.DefaultControlPeriod, func() { hpa.Step(r.k.Now()) })
+		managed := core.ManagedResource{Ref: ref, Min: 2, Max: 100}
+		if err := r.manage(hpa, model, core.SCGConfig{SLA: goodputRTT, Window: 30 * time.Second}, managed, 20*time.Second); err != nil {
+			return nil, err
 		}
 
 		catalogue, err := r.c.Service(topology.Catalogue)
@@ -101,58 +84,23 @@ func runFig1(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(time.Second)
-		ws := newWindowStat(r.k)
-		var lastBusy, lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("catalogue_cpu_util_pct", func() float64 {
-			busy := catalogue.CumulativeBusy()
-			capacity := catalogue.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			return db / dc * catalogue.TotalCores() * 100
-		})
-		tl.column("established_db_conns", func() float64 {
-			n, err := r.c.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
-		tl.column("db_conn_pool_total", func() float64 {
-			size, err := r.c.PoolSize(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(size * catalogue.Replicas())
-		})
-		tl.column("replicas", func() float64 { return float64(catalogue.Replicas()) })
+		tl.column("rt_ms", r.meanRTColumn())
+		tl.column("catalogue_cpu_util_pct", cpuUtilColumn(catalogue))
+		tl.column("established_db_conns", r.poolInUseColumn(ref))
+		poolSize := r.poolSizeColumn(ref)
+		tl.column("db_conn_pool_total", func() float64 { return poolSize() * float64(catalogue.Replicas()) })
+		tl.column("replicas", replicasColumn(catalogue))
 		r.timeline = tl
 		r.run(dur)
 
-		o := &outcome{tl: tl}
-		warm := sim.Time(5 * time.Second)
-		if p99, err := r.c.Completions().Percentile(99, warm, sim.Time(dur)); err == nil {
-			o.p99 = p99
+		o := &outcome{
+			runSummary: r.summarize(sim.Time(5*time.Second), sim.Time(dur), goodputRTT),
+			tl:         tl,
+			replicas:   float64(catalogue.Replicas()),
 		}
-		o.goodput = r.c.Completions().GoodputRate(warm, sim.Time(dur), goodputRTT)
 		if r.ctl != nil {
 			o.events = r.ctl.Events()
 		}
-		o.replicas = float64(catalogue.Replicas())
 		return o, nil
 	}
 
@@ -160,11 +108,12 @@ func runFig1(p Params, w io.Writer) error {
 	// on the worker pool.
 	grp := p.Telemetry.Group("cases")
 	outcomes, err := parMap(p, 2, func(i int) (*outcome, error) {
-		o, err := run(i == 1, grp.Unit(i, []string{"HPA", "Sora"}[i]))
+		name := []string{"HPA", "Sora"}[i]
+		o, err := run(p.unitParams(grp.Unit(i, name)), []modelKind{modelNone, modelSCG}[i])
 		if err != nil {
-			return nil, fmt.Errorf("fig1 %s: %w", []string{"HPA", "Sora"}[i], err)
+			return nil, fmt.Errorf("fig1 %s: %w", name, err)
 		}
-		o.label = []string{"fig1_HPA", "fig1_Sora"}[i]
+		o.label = "fig1_" + name
 		return o, nil
 	})
 	if err != nil {

@@ -27,7 +27,6 @@ func runFig10(p Params, w io.Writer) error {
 		peakUsers:   1500,
 		duration:    12 * time.Minute,
 		sla:         goodputRTT,
-		seed:        p.Seed,
 		initThreads: 5, // the paper's pre-profiled setting (our Fig 3(d) 2-core knee)
 		timelineInt: time.Second,
 	}

@@ -28,7 +28,6 @@ func runFig11(p Params, w io.Writer) error {
 		peakUsers:   1800,
 		duration:    12 * time.Minute,
 		sla:         goodputRTT,
-		seed:        p.Seed,
 		initThreads: 5,
 		timelineInt: time.Second,
 	}

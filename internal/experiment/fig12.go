@@ -5,11 +5,8 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/sim"
-	"sora/internal/telemetry"
 	"sora/internal/topology"
 	"sora/internal/workload"
 )
@@ -34,35 +31,19 @@ func runFig12(p Params, w io.Writer) error {
 	driftAt := time.Duration(float64(dur) * 450.0 / 720.0)
 
 	type outcome struct {
+		runSummary
 		label    string
 		tl       *timeline
-		p99      time.Duration
-		goodput  float64
 		events   []core.AdaptationEvent
 		replicas int
 		conns    int
 	}
 
-	run := func(withSora bool, tel *telemetry.Recorder) (*outcome, error) {
+	run := func(p Params, model modelKind) (*outcome, error) {
 		cfg := topology.DefaultSocialNetwork()
 		cfg.PostStorageConns = 15 // the static allocation of the baseline case
 		cfg.PostStorageCores = 2
-		app := topology.SocialNetwork(cfg)
-		ref := cluster.ResourceRef{
-			Service: topology.HomeTimeline,
-			Kind:    cluster.PoolClientConns,
-			Target:  topology.PostStorage,
-		}
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.HomeTimelineOnlyMix(false),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 3200),
-			tel:          tel,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
+		r, managed, err := newReadPathRig(p, cfg, workload.TraceUsers(workload.LargeVariationTrace(), dur, 3200), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -72,28 +53,12 @@ func runFig12(p Params, w io.Writer) error {
 				panic(err) // static mixes validated at build time
 			}
 		})
-		hpa, err := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-			Service:     topology.PostStorage,
-			MaxReplicas: 6,
-		})
+		hpa, err := readPathHPA(r)
 		if err != nil {
 			return nil, err
 		}
-		if withSora {
-			scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.attachController(core.ControllerConfig{
-				Model:   scg,
-				Scaler:  hpa,
-				Managed: []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}},
-				Warmup:  30 * time.Second,
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			r.every(core.DefaultControlPeriod, func() { hpa.Step(r.k.Now()) })
+		if err := r.manage(hpa, model, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second}, managed, 30*time.Second); err != nil {
+			return nil, err
 		}
 
 		ps, err := r.c.Service(topology.PostStorage)
@@ -101,62 +66,24 @@ func runFig12(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(time.Second)
-		ws := newWindowStat(r.k)
-		var lastBusy, lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("goodput_rps", func() float64 {
-			now := r.k.Now()
-			return r.c.Completions().GoodputRate(now-sim.Time(time.Second), now, goodputRTT)
-		})
-		tl.column("ps_cpu_util_pct", func() float64 {
-			busy := ps.CumulativeBusy()
-			capacity := ps.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			return db / dc * ps.TotalCores() * 100
-		})
-		tl.column("connections_pool", func() float64 {
-			size, err := r.c.PoolSize(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(size)
-		})
-		tl.column("connections_running", func() float64 {
-			n, err := r.c.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
-		tl.column("ps_replicas", func() float64 { return float64(ps.Replicas()) })
+		tl.column("rt_ms", r.meanRTColumn())
+		tl.column("goodput_rps", r.goodputColumn(time.Second, goodputRTT))
+		tl.column("ps_cpu_util_pct", cpuUtilColumn(ps))
+		tl.column("connections_pool", r.poolSizeColumn(managed.Ref))
+		tl.column("connections_running", r.poolInUseColumn(managed.Ref))
+		tl.column("ps_replicas", replicasColumn(ps))
 		r.timeline = tl
 		r.run(dur)
 
-		o := &outcome{tl: tl, replicas: ps.Replicas()}
-		warm := sim.Time(10 * time.Second)
-		if p99, err := r.c.Completions().Percentile(99, warm, sim.Time(dur)); err == nil {
-			o.p99 = p99
+		o := &outcome{
+			runSummary: r.summarize(sim.Time(10*time.Second), sim.Time(dur), goodputRTT),
+			tl:         tl,
+			replicas:   ps.Replicas(),
 		}
-		o.goodput = r.c.Completions().GoodputRate(warm, sim.Time(dur), goodputRTT)
 		if r.ctl != nil {
 			o.events = r.ctl.Events()
 		}
-		if size, err := r.c.PoolSize(ref); err == nil {
+		if size, err := r.c.PoolSize(managed.Ref); err == nil {
 			o.conns = size
 		}
 		return o, nil
@@ -164,11 +91,12 @@ func runFig12(p Params, w io.Writer) error {
 
 	grp := p.Telemetry.Group("cases")
 	outcomes, err := parMap(p, 2, func(i int) (*outcome, error) {
-		o, err := run(i == 1, grp.Unit(i, []string{"HPA", "Sora"}[i]))
+		name := []string{"HPA", "Sora"}[i]
+		o, err := run(p.unitParams(grp.Unit(i, name)), []modelKind{modelNone, modelSCG}[i])
 		if err != nil {
-			return nil, fmt.Errorf("fig12 %s: %w", []string{"HPA", "Sora"}[i], err)
+			return nil, fmt.Errorf("fig12 %s: %w", name, err)
 		}
-		o.label = []string{"fig12_HPA", "fig12_Sora"}[i]
+		o.label = "fig12_" + name
 		return o, nil
 	})
 	if err != nil {

@@ -57,14 +57,11 @@ func runFig4(p Params, w io.Writer) error {
 		cfg.CartCores = 2
 		cfg.CartThreads = threads
 		app := topology.SockShop(cfg)
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.CartOnlyMix(app),
-			target:       workload.ConstantUsers(users),
-			tel:          grp.Unit(i, fmt.Sprintf("threads-%d", threads)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
+		r, err := newRig(p.unitParams(grp.Unit(i, fmt.Sprintf("threads-%d", threads))), rigConfig{
+			seed:   p.Seed,
+			app:    app,
+			mix:    topology.CartOnlyMix(app),
+			target: workload.ConstantUsers(users),
 		})
 		if err != nil {
 			return result{}, err

@@ -37,15 +37,12 @@ func runFig7(p Params, w io.Writer) error {
 	cfg.CartThreads = 40 // roomy pool so concurrency roams across the range
 	app := topology.SockShop(cfg)
 	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          topology.CartOnlyMix(app),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 1100),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p, rigConfig{
+		seed:   p.Seed,
+		app:    app,
+		mix:    topology.CartOnlyMix(app),
+		refs:   []cluster.ResourceRef{ref},
+		target: workload.TraceUsers(workload.LargeVariationTrace(), dur, 1100),
 	})
 	if err != nil {
 		return err

@@ -200,15 +200,12 @@ func runFig9(p Params, w io.Writer) error {
 func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		refs:         []cluster.ResourceRef{fc.ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p, rigConfig{
+		seed:   p.Seed,
+		app:    app,
+		mix:    mix,
+		refs:   []cluster.ResourceRef{fc.ref},
+		target: workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
 	})
 	if err != nil {
 		return 0, err
@@ -242,14 +239,11 @@ func fig9Estimate(p Params, fc fig9Case) (int, error) {
 func fig9Validate(p Params, fc fig9Case, size, users int) (float64, error) {
 	dur := p.scale(100 * time.Second)
 	app, mix := fc.build(size)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed + uint64(size)*17 + uint64(users),
-		app:          app,
-		mix:          mix,
-		target:       workload.ConstantUsers(users),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
+	r, err := newRig(p, rigConfig{
+		seed:   p.Seed + uint64(size)*17 + uint64(users),
+		app:    app,
+		mix:    mix,
+		target: workload.ConstantUsers(users),
 	})
 	if err != nil {
 		return 0, err

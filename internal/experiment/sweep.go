@@ -50,14 +50,11 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 	return parMap(p, len(sizes), func(i int) (sweepPoint, error) {
 		size := sizes[i]
 		app, mix := sc.build(size)
-		r, err := newRig(rigConfig{
-			seed:         p.Seed + uint64(size)*1000003,
-			app:          app,
-			mix:          mix,
-			target:       workload.ConstantUsers(sc.users),
-			tel:          grp.Unit(i, fmt.Sprintf("size-%d", size)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
+		r, err := newRig(p.unitParams(grp.Unit(i, fmt.Sprintf("size-%d", size))), rigConfig{
+			seed:   p.Seed + uint64(size)*1000003,
+			app:    app,
+			mix:    mix,
+			target: workload.ConstantUsers(sc.users),
 		})
 		if err != nil {
 			return sweepPoint{}, err

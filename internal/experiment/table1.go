@@ -169,16 +169,13 @@ func table1Runs(p Params, fc fig9Case) []*estimateRun {
 		seed := p.Seed + uint64(rep)*7919
 		dur := p.scale(3 * time.Minute)
 		app, mix := fc.build(fc.estPool)
-		r, err := newRig(rigConfig{
+		r, err := newRig(p.unitParams(p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep))), rigConfig{
 			seed:           seed,
 			app:            app,
 			mix:            mix,
 			refs:           []cluster.ResourceRef{fc.ref},
 			target:         workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
 			sampleInterval: 10 * time.Millisecond,
-			tel:            p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep)),
-			flightWindow:   p.Timeline,
-			prof:           p.Profile,
 		})
 		if err != nil {
 			return nil, nil

@@ -35,7 +35,6 @@ func runTable2(p Params, w io.Writer) error {
 			peakUsers:   1500,
 			duration:    12 * time.Minute,
 			sla:         goodputRTT,
-			seed:        p.Seed,
 			initThreads: 5,
 		}
 		results, err := runCartStrategies(p.unitParams(grp.Unit(ti, sanitize(traces[ti].Name))), base, stratFIRM, stratFIRMSora)

@@ -34,7 +34,6 @@ func runTable3(p Params, w io.Writer) error {
 			peakUsers:   1800,
 			duration:    12 * time.Minute,
 			sla:         sla,
-			seed:        p.Seed,
 			initThreads: 5,
 			gpThreshold: sla,
 		}

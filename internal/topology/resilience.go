@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sora/internal/cluster"
+	"sora/internal/fault"
 )
 
 // This file carries the default resilience configuration of the two
@@ -11,7 +12,8 @@ import (
 // retries with backoff, circuit breakers, optional-call degradation)
 // matching what a service mesh would install in the paper's testbed.
 // Policies are opt-in — plain experiments run the raw topologies; the
-// chaos experiments apply these before injecting faults.
+// chaos experiments apply these before injecting faults, aimed at the
+// per-app fault targets declared below.
 
 // EdgePolicy pairs one caller→callee edge with its resilience policy.
 type EdgePolicy struct {
@@ -76,5 +78,39 @@ func SocialNetworkResilience() []EdgePolicy {
 		{Caller: SNFrontEnd, Callee: HomeTimeline, Policy: essential(600 * time.Millisecond)},
 		{Caller: HomeTimeline, Callee: PostStorage, Policy: essential(300 * time.Millisecond)},
 		{Caller: HomeTimeline, Callee: SocialGraph, Policy: optional(200 * time.Millisecond)},
+	}
+}
+
+// SockShopFaultTargets aims the named fault plans at the cart path: the
+// Cart service crashes, its database slows, the front-end→Cart edge
+// turns lossy and Cart's thread pool is clamped to 4.
+func SockShopFaultTargets() fault.Targets {
+	return fault.Targets{
+		CrashService: Cart,
+		SlowService:  CartDB,
+		EdgeCaller:   FrontEnd,
+		EdgeCallee:   Cart,
+		ClampRef:     cluster.ResourceRef{Service: Cart, Kind: cluster.PoolThreads},
+		ClampSize:    4,
+	}
+}
+
+// SocialNetworkFaultTargets aims the named fault plans at the
+// home-timeline read path. The crash hits Social Graph, an optional
+// edge, so it degrades requests rather than failing them; Post Storage
+// slows, its edge from Home Timeline turns lossy, and that edge's
+// connection pool is clamped to 4.
+func SocialNetworkFaultTargets() fault.Targets {
+	return fault.Targets{
+		CrashService: SocialGraph,
+		SlowService:  PostStorage,
+		EdgeCaller:   HomeTimeline,
+		EdgeCallee:   PostStorage,
+		ClampRef: cluster.ResourceRef{
+			Service: HomeTimeline,
+			Kind:    cluster.PoolClientConns,
+			Target:  PostStorage,
+		},
+		ClampSize: 4,
 	}
 }
